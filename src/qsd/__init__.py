@@ -7,7 +7,6 @@ truncated-Fock-space oracle and simulated linear-optical measurement circuits.
 
 from .discrimination import (
     CrossoverReport,
-    ProbabilityPoint,
     delta_pcorr,
     delta_pcorr_max,
     family_bot,

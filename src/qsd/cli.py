@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
@@ -73,7 +72,6 @@ class CurveRequest:
     variants: tuple[str, ...] = ("pure", "mixed")
     prior: float = 0.5
     tail_tol: float = field(default_factory=default_tail_tol)
-    parallel: bool = False
 
     def __post_init__(self) -> None:
         if self.metric not in CURVE_METRICS:
@@ -88,9 +86,9 @@ class CurveRequest:
             raise UsageError(f"prior {self.prior} outside (0, 1)")
 
 
-# module-level so ProcessPoolExecutor can pickle it
-def _curve_row(args: tuple) -> list[float]:
-    family, metric, variants, prior, tail_tol, alpha = args
+def _curve_row(request: CurveRequest, alpha: float) -> list[float]:
+    family, metric, variants = request.family, request.metric, request.variants
+    prior, tail_tol = request.prior, request.tail_tol
     if metric == "p_corr":
         return [
             disc.family_pcorr(family, v, alpha, prior=prior, tail_tol=tail_tol)
@@ -123,20 +121,11 @@ def _curve_header(metric: str, variants: Sequence[str]) -> list[str]:
 
 
 def cmd_curve(request: CurveRequest, out: TextIO) -> int:
-    rows_args = [
-        (request.family, request.metric, request.variants, request.prior,
-         request.tail_tol, float(alpha))
-        for alpha in request.alphas
-    ]
-    if request.parallel:
-        with ProcessPoolExecutor() as pool:
-            rows = list(pool.map(_curve_row, rows_args))
-    else:
-        rows = [_curve_row(a) for a in rows_args]
-
+    alphas = [float(alpha) for alpha in request.alphas]
+    rows = [_curve_row(request, alpha) for alpha in alphas]
     print(",".join(_curve_header(request.metric, request.variants)), file=out)
-    for row_args, row in zip(rows_args, rows):
-        print(",".join(_fmt(v) for v in [row_args[-1]] + row), file=out)
+    for alpha, row in zip(alphas, rows):
+        print(",".join(_fmt(v) for v in [alpha] + row), file=out)
     return 0
 
 
@@ -150,8 +139,19 @@ def _curve_request(args: argparse.Namespace) -> CurveRequest:
         variants=args.variants,
         prior=0.5 if args.prior is None else args.prior,
         tail_tol=args.tail_tol,
-        parallel=args.parallel,
     )
+
+
+def _tail_tol(flag: float | None) -> float:
+    """--tail-tol if given, else QSD_TAIL_TOL, else the default; in (0, 1)."""
+    if flag is None:
+        try:
+            return default_tail_tol()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    if not 0.0 < flag < 1.0:  # also rejects nan and inf
+        raise UsageError(f"--tail-tol {flag} is not a number in (0, 1)")
+    return flag
 
 
 def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
@@ -218,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--tail-tol", type=float, default=None,
                        help="Poisson tail tolerance for series (default 1e-12)")
     curve.add_argument("--output", "-o", default=None, help="CSV path (default stdout)")
-    curve.add_argument("--parallel", action="store_true",
-                       help="evaluate grid points in parallel processes")
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument(
@@ -243,9 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tail_tol", None) is None and hasattr(args, "tail_tol"):
-        args.tail_tol = default_tail_tol()
     try:
+        if hasattr(args, "tail_tol"):
+            args.tail_tol = _tail_tol(args.tail_tol)
         if getattr(args, "alpha", None) is not None and isinstance(args.alpha, float):
             if args.alpha < 0:
                 raise UsageError(f"negative alpha {args.alpha}")

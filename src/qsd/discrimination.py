@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .phase_rand import DEFAULT_N_CAP, default_tail_tol, truncation_photon_number
+from .phase_rand import DEFAULT_N_CAP, poisson_series
 from .symmetric import COHERENT_FAMILY_MODES, SymmetricFamilySpec
 
 #: Families encoding two bits in four states (p_1bit / b_ot are defined here).
@@ -30,27 +31,6 @@ METRICS = ("p_corr", "p_1bit", "b_ot", "p_unambiguous", "delta_p_corr")
 
 class InvalidOverlapError(ValueError):
     """Overlap parameters produced a radicand too negative to clip."""
-
-
-@dataclass(frozen=True)
-class ProbabilityPoint:
-    """One evaluated probability, with the inputs that produced it.
-
-    `series_terms` is 0 for fully closed forms and the number of Poisson
-    terms summed otherwise.
-    """
-
-    family_tag: str
-    variant: str
-    metric: str
-    alpha_abs: float
-    value: float
-    prior: float | None = None
-    series_terms: int = 0
-
-    def __post_init__(self) -> None:
-        if not -1e-12 <= self.value <= 1.0 + 1e-12 and self.metric != "delta_p_corr":
-            raise ValueError(f"probability {self.value} outside [0, 1]")
 
 
 def _family_tag(family) -> str:
@@ -79,17 +59,36 @@ def _clip_radicand(x: float, tol: float = 1e-12) -> float:
     return max(x, 0.0)
 
 
-def _poisson_terms(mean: float, tail_tol: float, n_cap: int = DEFAULT_N_CAP):
-    """Yield (N, p_N) for the truncated Poisson series."""
-    n_max = truncation_photon_number(mean, tail_tol, n_cap)
-    if mean == 0.0:
-        yield 0, 1.0
-        return
-    term = math.exp(-mean)
-    yield 0, term
-    for n in range(1, n_max + 1):
-        term *= mean / n
-        yield n, term
+@lru_cache(maxsize=None)
+def _subspace_table(tag: str, metric: str) -> tuple[float, ...]:
+    """s_N for N = 0..DEFAULT_N_CAP: the per-subspace success of a mixed metric.
+
+    `metric` is "p_corr" (square-root measurement, optimal for symmetric pure
+    states) or "p_1bit"; the vacuum entry is the random guess.  The table
+    does not depend on |alpha|, so it is built once per (family, metric).
+    """
+    if metric == "p_1bit":
+        vacuum, term = 0.5, _p1bit_subspace_term
+    else:
+        vacuum, term = 0.25, _pcorr_subspace_term
+    return (vacuum,) + tuple(term(tag, n) for n in range(1, DEFAULT_N_CAP + 1))
+
+
+def _mixed_series(
+    tag: str, metric: str, alpha_abs: float, tail_tol: float | None
+) -> tuple[float, int]:
+    """Poisson series sum_N p_N s_N of a phase-randomized family.
+
+    The mean photon number is M |alpha|^2 for an M-mode family; terms are
+    summed left to right in N, so a point's value does not depend on the
+    grid it sits on.  Returns (value, number of terms).
+    """
+    alpha_abs = _check_alpha(alpha_abs)
+    weights = poisson_series(COHERENT_FAMILY_MODES[tag] * alpha_abs**2, tail_tol)
+    total = 0.0
+    for p_n, s_n in zip(weights, _subspace_table(tag, metric)):
+        total += p_n * s_n
+    return total, len(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -133,22 +132,7 @@ def three_mode_mixed_pcorr(
     (1/16) [3 sqrt(1 - s 3^-N) + sqrt(1 + 3 s 3^-N)]^2, where s = (-1)^N is
     handled as an exact parity sign.  Returns (value, number of terms).
     """
-    alpha_abs = _check_alpha(alpha_abs)
-    if tail_tol is None:
-        tail_tol = default_tail_tol()
-    total = 0.0
-    terms = 0
-    for n, p_n in _poisson_terms(3.0 * alpha_abs**2, tail_tol):
-        terms += 1
-        if n == 0:
-            total += 0.25 * p_n  # indistinguishable vacuum: random guess
-            continue
-        g = _signed_third_power(n)
-        bracket = 3.0 * math.sqrt(_clip_radicand(1.0 - g)) + math.sqrt(
-            _clip_radicand(1.0 + 3.0 * g)
-        )
-        total += p_n * bracket**2 / 16.0
-    return total, terms
+    return _mixed_series("three_mode", "p_corr", alpha_abs, tail_tol)
 
 
 def _signed_third_power(n: int) -> float:
@@ -218,23 +202,28 @@ def phase_encoded_mixed_pcorr(
     squared and divided by 8; trigonometric squares come from the exact
     period-4 table so the N = 1, 2 radicands vanish identically.
     This same quantity is the receiver's full cheating probability b_ot.
+    Returns (value, number of terms).
     """
-    alpha_abs = _check_alpha(alpha_abs)
-    if tail_tol is None:
-        tail_tol = default_tail_tol()
-    total = 0.0
-    terms = 0
-    for n, p_n in _poisson_terms(2.0 * alpha_abs**2, tail_tol):
-        terms += 1
-        if n == 0:
-            total += 0.25 * p_n
-            continue
-        scale = math.ldexp(1.0, 2 - n)  # 2^(2-N), exact
-        rc = _clip_radicand(1.0 - scale * _cos2_quarter(n))
-        rs = _clip_radicand(1.0 - scale * _sin2_quarter(n))
-        bracket = math.sqrt(1.0 + math.sqrt(rc)) + math.sqrt(1.0 + math.sqrt(rs))
-        total += p_n * bracket**2 / 8.0
-    return total, terms
+    return _mixed_series("phase_encoded", "p_corr", alpha_abs, tail_tol)
+
+
+def _pcorr_subspace_term(tag: str, n: int) -> float:
+    """Square-root-measurement success in the N-photon subspace (N >= 1).
+
+    The three-mode and phase-encoded brackets above, with exact parity
+    logic so radicands that vanish identically do so in floating point.
+    """
+    if tag == "three_mode":
+        g = _signed_third_power(n)
+        bracket = 3.0 * math.sqrt(_clip_radicand(1.0 - g)) + math.sqrt(
+            _clip_radicand(1.0 + 3.0 * g)
+        )
+        return bracket**2 / 16.0
+    scale = math.ldexp(1.0, 2 - n)  # 2^(2-N), exact
+    rc = _clip_radicand(1.0 - scale * _cos2_quarter(n))
+    rs = _clip_radicand(1.0 - scale * _sin2_quarter(n))
+    bracket = math.sqrt(1.0 + math.sqrt(rc)) + math.sqrt(1.0 + math.sqrt(rs))
+    return bracket**2 / 8.0
 
 
 def phase_encoded_pure_pcorr(alpha_abs: float) -> float:
@@ -359,25 +348,33 @@ def pure_overlaps(family, alpha_abs: float) -> tuple[complex, float]:
     raise ValueError(f"{tag} does not encode two bits in four states")
 
 
-def subspace_overlaps(family, photons: int) -> tuple[complex, float]:
-    """(F_N, G_N) overlaps of the N-photon subspace states, in closed form."""
+def subspace_overlaps(family, photons: int) -> np.ndarray:
+    """First Gram row <psi_0|psi_k> of the N-photon subspace states, in closed form.
+
+    Independent of the numerically computed Gram matrices: overlaps follow
+    from multinomial sums of the per-mode phases, evaluated with exact parity
+    logic.  For the four-state families the row is (1, F_N, G_N, conj F_N).
+    All states coincide with the vacuum at N = 0, so that row is all ones.
+    """
     tag = _family_tag(family)
     n = photons
+    if n < 0:
+        raise ValueError(f"negative photon number {n}")
     if n == 0:
-        return 1.0 + 0.0j, 1.0
+        return np.ones(2 if tag == "two_mode" else 4, dtype=np.complex128)
+    if tag == "two_mode":
+        return np.array([1.0, 0.0], dtype=np.complex128)
     if tag == "three_mode":
         f = 1.0 / 3.0**n
-        return complex(f), _signed_third_power(n)
+        return np.array([1.0, f, _signed_third_power(n), f], dtype=np.complex128)
     if tag == "four_mode":
-        return 0.0j, 0.0
-    if tag == "phase_encoded":
-        mag = math.sqrt(math.ldexp(1.0, -n))  # 2^(-N/2)
-        f = mag * complex(
-            math.copysign(math.sqrt(_cos2_quarter(n)), math.cos(n * math.pi / 4.0)),
-            math.copysign(math.sqrt(_sin2_quarter(n)), math.sin(n * math.pi / 4.0)),
-        )
-        return f, 0.0
-    raise ValueError(f"{tag} does not encode two bits in four states")
+        return np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+    mag = math.sqrt(math.ldexp(1.0, -n))  # 2^(-N/2)
+    f = mag * complex(
+        math.copysign(math.sqrt(_cos2_quarter(n)), math.cos(n * math.pi / 4.0)),
+        math.copysign(math.sqrt(_sin2_quarter(n)), math.sin(n * math.pi / 4.0)),
+    )
+    return np.array([1.0, f, 0.0, f.conjugate()], dtype=np.complex128)
 
 
 def _p1bit_subspace_term(tag: str, n: int) -> float:
@@ -422,16 +419,7 @@ def family_p1bit(
     if variant == "pure":
         f, g = pure_overlaps(tag, alpha_abs)
         return p1bit_from_overlaps(f, g)
-    if tail_tol is None:
-        tail_tol = default_tail_tol()
-    mean = COHERENT_FAMILY_MODES[tag] * alpha_abs**2
-    total = 0.0
-    for n, p_n in _poisson_terms(mean, tail_tol):
-        if n == 0:
-            total += 0.5 * p_n  # vacuum subspace: coin flip
-            continue
-        total += p_n * _p1bit_subspace_term(tag, n)
-    return total
+    return _mixed_series(tag, "p_1bit", alpha_abs, tail_tol)[0]
 
 
 def family_bot(

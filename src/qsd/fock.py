@@ -71,21 +71,6 @@ def log_factorials(n_max: int) -> np.ndarray:
 # subspace enumeration
 
 
-@dataclass(frozen=True)
-class FockIndex:
-    """Occupation numbers (n_1, ..., n_M) of one number-basis ket."""
-
-    occupations: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(n < 0 for n in self.occupations):
-            raise ValueError(f"negative occupation in {self.occupations}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.occupations)
-
-
 class SubspaceBasis:
     """Ordered number basis of the N-photon sector of M modes.
 

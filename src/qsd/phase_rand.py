@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,9 +33,12 @@ def default_tail_tol() -> float:
     raw = os.environ.get("QSD_TAIL_TOL")
     if raw is None:
         return DEFAULT_TAIL_TOL
-    value = float(raw)
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
     if not 0.0 < value < 1.0:
-        raise ValueError(f"QSD_TAIL_TOL={raw!r} outside (0, 1)")
+        raise ValueError(f"QSD_TAIL_TOL={raw!r} is not a number in (0, 1)")
     return value
 
 
@@ -61,43 +64,58 @@ class CoherentStateVector:
         return float(sum(abs(a) ** 2 for a in self.amplitudes))
 
 
-def poisson_weights(mean: float, n_max: int) -> np.ndarray:
-    """p_N = exp(-mean) mean^N / N! for N = 0..n_max."""
+def poisson_series(
+    mean: float,
+    tail_tol: float | None = None,
+    n_cap: int = DEFAULT_N_CAP,
+    *,
+    n_max: int | None = None,
+) -> list[float]:
+    """Poisson weights p_N = exp(-mean) mean^N / N! for N = 0, 1, ...
+
+    With `n_max`, returns p_0..p_n_max.  Otherwise stops at the smallest
+    n_max whose tail mass beyond it is below `tail_tol` (default: the
+    library-wide tolerance) and raises CapacityError past `n_cap`.  Every
+    weight comes from the recurrence p_N = p_{N-1} mean / N, so one point's
+    series is bit-identical however it is reached.  Raises CapacityError
+    when exp(-mean) underflows, which would silently zero every weight.
+    """
     if mean < 0:
         raise ValueError(f"negative mean photon number {mean}")
-    if mean == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    log_p = (
-        -mean
-        + np.arange(n_max + 1) * math.log(mean)
-        - fock.log_factorials(n_max)[: n_max + 1]
-    )
-    return np.exp(log_p)
-
-
-def truncation_photon_number(
-    mean: float, tail_tol: float, n_cap: int = DEFAULT_N_CAP
-) -> int:
-    """Smallest n_max whose Poisson tail mass beyond it is below tail_tol."""
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail_tol {tail_tol} outside (0, 1)")
-    if mean == 0.0:
-        return 0
+    if n_max is None:
+        if tail_tol is None:
+            tail_tol = default_tail_tol()
+        if not 0.0 < tail_tol < 1.0:
+            raise ValueError(f"tail_tol {tail_tol} outside (0, 1)")
     term = math.exp(-mean)
+    if term < sys.float_info.min:
+        raise CapacityError(f"exp(-{mean}) underflows: Poisson weights would vanish")
+    weights = [term]
     cumulative = term
     n = 0
-    while 1.0 - cumulative >= tail_tol:
+    while (n < n_max) if n_max is not None else (1.0 - cumulative >= tail_tol):
         n += 1
-        if n > n_cap:
+        if n_max is None and n > n_cap:
             raise CapacityError(
                 f"Poisson truncation for mean {mean} exceeds cap {n_cap} "
                 f"at tail tolerance {tail_tol}"
             )
         term *= mean / n
         cumulative += term
-    return n
+        weights.append(term)
+    return weights
+
+
+def poisson_weights(mean: float, n_max: int) -> np.ndarray:
+    """p_N = exp(-mean) mean^N / N! for N = 0..n_max."""
+    return np.array(poisson_series(mean, n_max=n_max))
+
+
+def truncation_photon_number(
+    mean: float, tail_tol: float, n_cap: int = DEFAULT_N_CAP
+) -> int:
+    """Smallest n_max whose Poisson tail mass beyond it is below tail_tol."""
+    return len(poisson_series(mean, tail_tol, n_cap)) - 1
 
 
 @dataclass(frozen=True)
@@ -124,11 +142,8 @@ def decompose(
     """
     if not spec.is_coherent:
         raise ValueError(f"{spec.family_tag} has no Fock structure")
-    if tail_tol is None:
-        tail_tol = default_tail_tol()
-    mean = spec.mean_photons
-    n_max = truncation_photon_number(mean, tail_tol, n_cap)
-    weights = poisson_weights(mean, n_max)
+    weights = np.array(poisson_series(spec.mean_photons, tail_tol, n_cap))
+    n_max = len(weights) - 1
     grams = tuple(
         symmetric.gram_matrix(symmetric.subspace_states(spec, n))
         for n in range(n_max + 1)
@@ -152,38 +167,9 @@ def subspace_state_blocks(
     Returns (weights, blocks) with blocks[N] the list of L state vectors in
     the N-photon subspace basis, label order matching spec.labels.
     """
-    if tail_tol is None:
-        tail_tol = default_tail_tol()
-    n_max = truncation_photon_number(spec.mean_photons, tail_tol, n_cap)
-    weights = poisson_weights(spec.mean_photons, n_max)
-    blocks = [symmetric.subspace_states(spec, n) for n in range(n_max + 1)]
+    weights = np.array(poisson_series(spec.mean_photons, tail_tol, n_cap))
+    blocks = [symmetric.subspace_states(spec, n) for n in range(len(weights))]
     return weights, blocks
-
-
-def closed_form_gram_row(family_tag: str, photons: int) -> np.ndarray:
-    """First Gram row of the N-photon subspace states, in closed form.
-
-    Independent of the numerically computed Gram matrices: overlaps follow
-    from multinomial sums of the per-mode phases.  All four states coincide
-    with the vacuum at N = 0, so that row is all ones.
-    """
-    n = photons
-    if n < 0:
-        raise ValueError(f"negative photon number {n}")
-    if family_tag == "two_mode":
-        return np.array([1.0, 1.0 if n == 0 else 0.0], dtype=np.complex128)
-    if n == 0:
-        return np.ones(4, dtype=np.complex128)
-    if family_tag == "three_mode":
-        f = 3.0**-n
-        g = f if n % 2 == 0 else -f
-        return np.array([1.0, f, g, f], dtype=np.complex128)
-    if family_tag == "four_mode":
-        return np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
-    if family_tag == "phase_encoded":
-        f = 2.0 ** (-n / 2.0) * np.exp(1j * n * np.pi / 4.0)
-        return np.array([1.0, f, 0.0, np.conj(f)], dtype=np.complex128)
-    raise ValueError(f"unknown coherent family {family_tag!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +246,9 @@ def coherent_subspace_decomposition(
     of the pure state is the coherent amplitude vector over the N-photon
     basis, normalized; its squared norm is the Poisson weight p_N.
     """
-    if tail_tol is None:
-        tail_tol = default_tail_tol()
-    n_max = truncation_photon_number(state.mean_photons, tail_tol, n_cap)
-    weights = poisson_weights(state.mean_photons, n_max)
+    weights = np.array(poisson_series(state.mean_photons, tail_tol, n_cap))
     states = []
-    for n in range(n_max + 1):
+    for n in range(len(weights)):
         basis = fock.enumerate_subspace(state.modes, n)
         vec = fock.subspace_amplitudes(state.amplitudes, basis)
         norm = np.linalg.norm(vec)
@@ -327,9 +310,6 @@ def subspace_symmetry_unitary(family_tag: str, photons: int) -> np.ndarray:
             u[row, col] = 1.0
         else:  # phase_encoded: i^k phase on the second mode
             j, k = occ
-            u[col, col] = _ipow(k)
+            u[col, col] = symmetric._I_POWERS[k % 4]
     return u
 
-
-def _ipow(k: int) -> complex:
-    return (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[k % 4]

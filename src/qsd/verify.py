@@ -135,7 +135,7 @@ def suite_gram() -> list[CheckResult]:
         spec = SymmetricFamilySpec(tag, 0.9)
         for n in range(0, 31):
             gram = symmetric.gram_matrix(symmetric.subspace_states(spec, n))
-            row = phase_rand.closed_form_gram_row(tag, n)
+            row = disc.subspace_overlaps(tag, n)
             worst = max(worst, float(np.max(np.abs(gram.entries[0] - row))))
     results.append(_check("gram.closed_form_overlaps", worst, 1e-12))
 
@@ -153,16 +153,6 @@ def suite_gram() -> list[CheckResult]:
 
 # ---------------------------------------------------------------------------
 # families
-
-
-def _mixed_closed_form(tag: str, alpha: float, tail_tol: float) -> float:
-    if tag == "two_mode":
-        return disc.two_mode_mixed_pcorr(alpha, 0.5)
-    if tag == "three_mode":
-        return disc.three_mode_mixed_pcorr(alpha, tail_tol)[0]
-    if tag == "four_mode":
-        return disc.four_mode_mixed_pcorr(alpha)
-    return disc.phase_encoded_mixed_pcorr(alpha, tail_tol)[0]
 
 
 def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
@@ -190,7 +180,8 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
                 p * symmetric.srm_success_from_gram(g)
                 for p, g in zip(series.weights, series.per_n_gram)
             )
-            worst = max(worst, abs(via_gram - _mixed_closed_form(tag, alpha, tail_tol)))
+            closed = disc.family_pcorr(tag, "mixed", alpha, tail_tol=tail_tol)
+            worst = max(worst, abs(via_gram - closed))
     results.append(_check("families.series_vs_gram_route", worst, 1e-10))
 
     # closed forms vs the brute-force block oracle
@@ -200,7 +191,8 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
             spec = SymmetricFamilySpec(tag, alpha)
             weights, blocks = phase_rand.subspace_state_blocks(spec, tail_tol)
             block = oracle.block_srm(blocks, weights)
-            worst = max(worst, abs(block - _mixed_closed_form(tag, alpha, tail_tol)))
+            closed = disc.family_pcorr(tag, "mixed", alpha, tail_tol=tail_tol)
+            worst = max(worst, abs(block - closed))
     results.append(_check("families.closed_form_vs_block_srm", worst, 1e-8))
 
     # curve shape: start at guessing, rise monotonically, saturate; mixed <= pure

@@ -156,12 +156,6 @@ class TestCurve:
         assert lines[0] == "alpha_abs,p_corr_pure,p_corr_mixed"
         assert len(lines) == 4
 
-    def test_parallel_matches_serial(self, capsys):
-        argv = ["curve", "--family", "two_mode", "--metric", "p_corr", "--alpha", "0:1:3"]
-        _c, serial, _e = run(argv, capsys)
-        _c, parallel, _e = run(argv + ["--parallel"], capsys)
-        assert serial == parallel
-
     def test_invalid_family_metric_combination(self, capsys):
         code, _out, err = run(
             ["curve", "--family", "two_mode", "--metric", "p_1bit", "--alpha", "0:1:3"],
@@ -205,6 +199,27 @@ class TestCurve:
         assert code == 0
         value = float(out.strip().splitlines()[-1].split(",")[2])
         assert value == pytest.approx(disc.three_mode_mixed_pcorr(1.0, 1e-6)[0], rel=1e-11)
+
+    @pytest.mark.parametrize("value", ["2", "0", "-1e-6", "nan", "inf"])
+    def test_bad_tail_tol_flag(self, value, capsys):
+        code, out, err = run(
+            ["curve", "--family", "three_mode", "--metric", "p_corr",
+             "--alpha", "0:1:3", f"--tail-tol={value}"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["abc", "2", "nan"])
+    def test_bad_tail_tol_env(self, value, capsys, monkeypatch):
+        # rejected even for two_mode, whose curves never use it
+        monkeypatch.setenv("QSD_TAIL_TOL", value)
+        code, out, err = run(
+            ["curve", "--family", "two_mode", "--metric", "p_corr", "--alpha", "0:1:3"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: QSD_TAIL_TOL") and err.count("\n") == 1
 
 
 class TestCurveRequest:

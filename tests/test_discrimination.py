@@ -215,8 +215,8 @@ class TestFamilyP1bitAndBot:
                 weights = phase_rand.poisson_weights(mean, n_max)
                 total = weights[0] * 0.5
                 for n in range(1, n_max + 1):
-                    f, g = disc.subspace_overlaps(tag, n)
-                    total += weights[n] * disc.p1bit_from_overlaps(f, g)
+                    row = disc.subspace_overlaps(tag, n)
+                    total += weights[n] * disc.p1bit_from_overlaps(row[1], row[2].real)
                 assert disc.family_p1bit(tag, "mixed", alpha) == pytest.approx(
                     total, abs=1e-8
                 )
@@ -327,8 +327,3 @@ class TestDeltaAndShapes:
         report = disc.phase_encoded_ot_crossover(grid_points=801)
         assert report.intervals
         assert 0.7 <= report.lower_bound <= 0.9
-
-    def test_probability_point_record(self):
-        point = disc.ProbabilityPoint("three_mode", "mixed", "p_corr", 1.0, 0.92)
-        assert point.series_terms == 0
-        assert point.prior is None

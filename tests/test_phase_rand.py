@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qsd import discrimination as disc
 from qsd import fock, phase_rand, symmetric
 from qsd.phase_rand import CoherentStateVector
 from qsd.symmetric import SymmetricFamilySpec
@@ -44,6 +45,11 @@ class TestTruncation:
         with pytest.raises(ValueError):
             phase_rand.truncation_photon_number(1.0, 0.0)
 
+    def test_underflowing_mean_raises(self):
+        # exp(-800) underflows to 0.0; the recurrence would return all zeros
+        with pytest.raises(fock.CapacityError):
+            phase_rand.poisson_weights(800.0, 900)
+
     def test_weights_formula(self):
         weights = phase_rand.poisson_weights(3.0, 20)
         for n, w in enumerate(weights):
@@ -82,7 +88,7 @@ class TestDecompose:
     def test_gram_rows_match_closed_forms(self):
         series = phase_rand.decompose(SymmetricFamilySpec("phase_encoded", 1.1), 1e-12)
         for n, gram in enumerate(series.per_n_gram):
-            row = phase_rand.closed_form_gram_row("phase_encoded", n)
+            row = disc.subspace_overlaps("phase_encoded", n)
             assert np.max(np.abs(gram.entries[0] - row)) < 1e-12
 
 
@@ -215,17 +221,17 @@ class TestGenericCoherentPath:
 class TestClosedFormRows:
     def test_vacuum_rows(self):
         for tag in ("two_mode", "three_mode", "four_mode", "phase_encoded"):
-            row = phase_rand.closed_form_gram_row(tag, 0)
+            row = disc.subspace_overlaps(tag, 0)
             assert np.allclose(row, 1.0)
 
     def test_two_mode_orthogonal_above_vacuum(self):
         assert np.allclose(
-            phase_rand.closed_form_gram_row("two_mode", 3), [1.0, 0.0]
+            disc.subspace_overlaps("two_mode", 3), [1.0, 0.0]
         )
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
-            phase_rand.closed_form_gram_row("qutrit", 1)
+            disc.subspace_overlaps("qutrit", 1)
 
     def test_tail_tol_envvar(self, monkeypatch):
         monkeypatch.setenv("QSD_TAIL_TOL", "1e-6")

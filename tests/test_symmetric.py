@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qsd import fock, phase_rand, symmetric
+from qsd import discrimination as disc
+from qsd import fock, symmetric
 from qsd.symmetric import SymmetricFamilySpec
 
 COHERENT_TAGS = ("two_mode", "three_mode", "four_mode", "phase_encoded")
@@ -258,5 +259,5 @@ class TestClosedFormOverlaps:
             spec = SymmetricFamilySpec(tag, 1.0)
             for photons in range(0, 15):
                 gram = symmetric.gram_matrix(symmetric.subspace_states(spec, photons))
-                row = phase_rand.closed_form_gram_row(tag, photons)
+                row = disc.subspace_overlaps(tag, photons)
                 assert np.max(np.abs(gram.entries[0] - row)) < 1e-12
