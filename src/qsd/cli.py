@@ -9,6 +9,8 @@ overrides the default series tail tolerance.
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
@@ -41,9 +43,9 @@ def _parse_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(
             f"grid {text!r} is not of the form min:max:steps"
         ) from None
-    if lo < 0 or hi <= lo or steps < 2:
+    if not (0 <= lo < hi < math.inf) or steps < 2:  # also rejects nan
         raise argparse.ArgumentTypeError(
-            f"grid {text!r} needs 0 <= min < max and steps >= 2"
+            f"grid {text!r} needs finite 0 <= min < max and steps >= 2"
         )
     return np.linspace(lo, hi, steps)
 
@@ -166,11 +168,15 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_circuit(args: argparse.Namespace, out: TextIO) -> int:
     circuit = optics.preset(args.preset)
     family = optics.PRESET_FAMILIES[args.preset]
+    if not 0.0 <= args.alpha < math.inf:  # also rejects nan
+        raise UsageError(f"--alpha {args.alpha} is not a finite number >= 0")
     if args.amplitudes is not None:
         try:
             amps = [complex(a) for a in args.amplitudes.split(",")]
         except ValueError:
             raise UsageError(f"bad amplitude list {args.amplitudes!r}")
+        if not all(cmath.isfinite(a) for a in amps):
+            raise UsageError(f"non-finite amplitude in {args.amplitudes!r}")
         if len(amps) != circuit.modes:
             raise UsageError(f"{args.preset} needs {circuit.modes} amplitudes")
     else:
@@ -244,9 +250,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if hasattr(args, "tail_tol"):
             args.tail_tol = _tail_tol(args.tail_tol)
-        if getattr(args, "alpha", None) is not None and isinstance(args.alpha, float):
-            if args.alpha < 0:
-                raise UsageError(f"negative alpha {args.alpha}")
         if args.command == "verify":
             return cmd_verify(args, sys.stdout)
         if args.command == "curve":

@@ -25,6 +25,9 @@ PSD_TOLERANCE = 1e-10
 #: Hermiticity / real-trace tolerance for dense matrices.
 HERMITICITY_TOLERANCE = 1e-12
 
+#: Jacobi stops once the off-diagonal norm is below this share of the norm.
+OFF_DIAGONAL_TOLERANCE = 1e-12
+
 
 class CapacityError(ValueError):
     """A requested truncation exceeds the configured size cap."""
@@ -247,18 +250,14 @@ class SpectralDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def hermitian_eig(
-    m: np.ndarray,
-    sweep_cap: int = 100,
-    off_diag_tol: float = 1e-12,
-) -> SpectralDecomposition:
+def hermitian_eig(m: np.ndarray, sweep_cap: int = 100) -> SpectralDecomposition:
     """Full spectral decomposition of a complex Hermitian matrix.
 
     Cyclic Jacobi iteration with 2x2 unitary rotations; sweeps continue until
-    the off-diagonal Frobenius norm drops below off_diag_tol times the initial
-    Frobenius norm of the matrix.  Adequate for the dense sizes used here
-    (up to a few hundred); raises ConvergenceError (carrying the residual)
-    if `sweep_cap` sweeps do not suffice.
+    the off-diagonal Frobenius norm drops below OFF_DIAGONAL_TOLERANCE times
+    the initial Frobenius norm of the matrix.  Adequate for the dense sizes
+    used here (up to a few hundred); raises ConvergenceError (carrying the
+    residual) if `sweep_cap` sweeps do not suffice.
     """
     a = check_hermitian(m).copy()
     d = a.shape[0]
@@ -268,7 +267,7 @@ def hermitian_eig(
     norm0 = float(np.linalg.norm(a))
     if norm0 == 0.0 or d == 1:
         return _sorted_decomposition(np.real(np.diag(a)), v)
-    target = off_diag_tol * norm0
+    target = OFF_DIAGONAL_TOLERANCE * norm0
     skip = target / d
 
     for _ in range(sweep_cap):
@@ -336,34 +335,41 @@ def _sorted_decomposition(
 # spectral matrix functions
 
 
+def psd_spectrum(
+    m: np.ndarray, support_cutoff: float | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, eigenvectors and support mask of a PSD matrix.
+
+    Eigenvalues in [-PSD_TOLERANCE, 0) are clipped to zero; anything lower
+    raises NotPositiveSemidefiniteError.  An eigenvalue is on the support
+    when it is positive and at least `support_cutoff`, by default 1e-10 times
+    the largest eigenvalue, which makes the support scale-invariant.
+    """
+    dec = hermitian_eig(m)
+    lam = dec.eigenvalues.copy()
+    if lam.size and lam[-1] < -PSD_TOLERANCE:
+        raise NotPositiveSemidefiniteError(
+            f"eigenvalue {lam[-1]:.3e} below -{PSD_TOLERANCE:.1e}"
+        )
+    lam[lam < 0.0] = 0.0
+    if support_cutoff is None:
+        support_cutoff = 1e-10 * (lam[0] if lam.size else 0.0)
+    on_support = (lam >= support_cutoff) & (lam > 0.0)
+    return lam, dec.eigenvectors, on_support
+
+
 def matrix_function(
     m: np.ndarray,
     f: Callable[[float], float],
     support_cutoff: float | None = None,
-    psd_tol: float = PSD_TOLERANCE,
 ) -> np.ndarray:
     """Apply a scalar function to a PSD matrix on its support.
 
-    Eigenvalues below `support_cutoff` map to zero (pseudo-function), those at
-    or above it through `f`; the default cutoff is 1e-10 times the largest
-    eigenvalue, which makes the support scale-invariant.  Eigenvalues in
-    [-psd_tol, 0) are clipped to zero; anything lower raises
-    NotPositiveSemidefiniteError.
+    Eigenvalues on the support of `psd_spectrum` map through `f`, all others
+    to zero (pseudo-function).
     """
-    dec = hermitian_eig(m)
-    lam = dec.eigenvalues.copy()
-    if lam.size and lam[-1] < -psd_tol:
-        raise NotPositiveSemidefiniteError(
-            f"eigenvalue {lam[-1]:.3e} below -{psd_tol:.1e}"
-        )
-    lam[lam < 0.0] = 0.0
-    lam_max = lam[0] if lam.size else 0.0
-    if support_cutoff is None:
-        support_cutoff = 1e-10 * lam_max
-    mapped = np.array(
-        [f(x) if x >= support_cutoff and x > 0.0 else 0.0 for x in lam]
-    )
-    v = dec.eigenvectors
+    lam, v, on_support = psd_spectrum(m, support_cutoff)
+    mapped = np.array([f(x) if s else 0.0 for x, s in zip(lam, on_support)])
     out = (v * mapped) @ v.conj().T
     return 0.5 * (out + out.conj().T)
 

@@ -21,6 +21,9 @@ from .symmetric import SymmetricFamilySpec
 
 _SQRT2 = math.sqrt(2.0)
 
+#: Detector amplitudes (and click probabilities) at or below this are dark.
+AMPLITUDE_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class BeamSplitter:
@@ -78,9 +81,9 @@ class ClickDistribution:
     no_click_probability: float
     identify: Mapping[str, str]
 
-    def identified_label(self, amplitude_tol: float = 1e-12) -> str | None:
+    def identified_label(self) -> str | None:
         """Label announced by the (single) detector that can click, if any."""
-        hot = [name for name, p in self.click_probability if p > amplitude_tol]
+        hot = [name for name, p in self.click_probability if p > AMPLITUDE_TOLERANCE]
         if len(hot) == 1:
             return self.identify.get(hot[0])
         return None
@@ -125,7 +128,6 @@ def min_error_via_circuit(
     circuit: LinearCircuit,
     spec: SymmetricFamilySpec,
     priors: Sequence[float] | None = None,
-    amplitude_tol: float = 1e-12,
 ) -> float:
     """Minimum-error success of the circuit measurement on a coherent family.
 
@@ -154,7 +156,7 @@ def min_error_via_circuit(
         out = apply_circuit(circuit, amps)
         correct_mode = detector_mode[label_to_detector[label]]
         for name, mode in circuit.detectors:
-            if mode != correct_mode and abs(out[mode]) > amplitude_tol:
+            if mode != correct_mode and abs(out[mode]) > AMPLITUDE_TOLERANCE:
                 raise ValueError(
                     f"input {label!r} leaks amplitude {out[mode]:.3e} into {name}"
                 )

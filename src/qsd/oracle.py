@@ -20,10 +20,14 @@ from .phase_rand import CoherentStateVector, default_tail_tol
 
 #: Per-block subspace dimension up to which block_srm uses full dense matrices;
 #: larger blocks are reduced exactly to the span of their states first.
-DEFAULT_DENSE_CAP = 96
+DENSE_CAP = 96
 
 #: Eigenvalue magnitude below which a Helstrom difference operator is "zero".
 SIGN_THRESHOLD = 1e-12
+
+#: Gram-Schmidt residual, relative to the vector's norm, below which a vector
+#: adds nothing to the span.
+RANK_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,19 +91,8 @@ def srm(
             raise ValueError(f"state trace {trace} is not 1")
     average = sum(p * rho for p, rho in zip(priors, rhos))
 
-    dec = fock.hermitian_eig(average)
-    lam = dec.eigenvalues.copy()
-    if lam.size and lam[-1] < -fock.PSD_TOLERANCE:
-        raise fock.NotPositiveSemidefiniteError(
-            f"average state eigenvalue {lam[-1]:.3e}"
-        )
-    lam[lam < 0.0] = 0.0
-    if support_cutoff is None:
-        support_cutoff = 1e-10 * (lam[0] if lam.size else 0.0)
-    on_support = lam >= max(support_cutoff, 0.0)
-    on_support &= lam > 0.0
+    lam, v, on_support = fock.psd_spectrum(average, support_cutoff)
     inv_sqrt_lam = np.where(on_support, 1.0 / np.sqrt(np.where(on_support, lam, 1.0)), 0.0)
-    v = dec.eigenvectors
     inv_sqrt = (v * inv_sqrt_lam) @ v.conj().T
     projector = (v * on_support.astype(float)) @ v.conj().T
 
@@ -113,17 +106,12 @@ def srm(
     return Povm(tuple(elements), 0.5 * (projector + projector.conj().T)), success
 
 
-def helstrom_two(
-    rho0: np.ndarray,
-    rho1: np.ndarray,
-    p0: float,
-    sign_threshold: float = SIGN_THRESHOLD,
-) -> tuple[Povm, float]:
+def helstrom_two(rho0: np.ndarray, rho1: np.ndarray, p0: float) -> tuple[Povm, float]:
     """Optimal two-state minimum-error measurement.
 
     Diagonalises A = p0 rho0 - p1 rho1 and projects outcome 0 (1) onto its
     positive (negative) eigenspace.  Eigenvectors with |eigenvalue| below
-    `sign_threshold` that lie inside the support of the average state are
+    SIGN_THRESHOLD that lie inside the support of the average state are
     assigned to the larger-prior outcome (outcome 0 on a tie): the choice
     cannot change p_corr = p1 + tr(A Pi0) but makes the operators, and any
     golden files built from them, deterministic.  The support cutoff is the
@@ -146,15 +134,15 @@ def helstrom_two(
     # Kernel directions carrying average-state weight go to the larger-prior
     # outcome (outcome 0 on a tie); weightless directions never occur and are
     # excluded from the measurement.
-    to_zero = dec.eigenvalues > sign_threshold
-    to_one = dec.eigenvalues < -sign_threshold
+    to_zero = dec.eigenvalues > SIGN_THRESHOLD
+    to_one = dec.eigenvalues < -SIGN_THRESHOLD
     in_kernel = ~(to_zero | to_one)
     if np.any(in_kernel):
         weight = np.einsum(
             "ij,jk,ki->i", v.conj().T[in_kernel], average, v[:, in_kernel]
         ).real
         occupied = np.zeros_like(in_kernel)
-        occupied[in_kernel] = weight > sign_threshold
+        occupied[in_kernel] = weight > SIGN_THRESHOLD
         if p0 >= p1:
             to_zero = to_zero | occupied
         else:
@@ -172,14 +160,12 @@ def helstrom_two(
 # span reduction for large subspaces
 
 
-def span_orthonormal_basis(
-    vectors: Sequence[np.ndarray], rank_tol: float = 1e-12
-) -> np.ndarray:
+def span_orthonormal_basis(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Orthonormal basis (columns) of the span, by modified Gram-Schmidt.
 
     Two orthogonalisation passes keep the basis orthonormal to machine
-    precision; vectors whose residual falls below rank_tol relative to their
-    norm are dropped, so rank-deficient families reduce cleanly.
+    precision; vectors whose residual falls below RANK_TOLERANCE relative to
+    their norm are dropped, so rank-deficient families reduce cleanly.
     """
     columns: list[np.ndarray] = []
     for vec in vectors:
@@ -191,7 +177,7 @@ def span_orthonormal_basis(
             for b in columns:
                 w -= np.vdot(b, w) * b
         residual = np.linalg.norm(w)
-        if residual > rank_tol * scale:
+        if residual > RANK_TOLERANCE * scale:
             columns.append(w / residual)
     if not columns:
         raise ValueError("all vectors are numerically zero")
@@ -218,7 +204,6 @@ def srm_success_pure(
 def block_srm(
     blocks: Sequence[Sequence[np.ndarray]],
     weights: Sequence[float],
-    dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> float:
     """Photon-counting strategy: per-block SRM successes, Poisson-averaged.
 
@@ -235,7 +220,7 @@ def block_srm(
     for block, weight in zip(blocks, weights):
         vectors = [np.asarray(v, dtype=np.complex128) for v in block]
         priors = [1.0 / len(vectors)] * len(vectors)
-        if vectors[0].shape[0] <= dense_cap:
+        if vectors[0].shape[0] <= DENSE_CAP:
             _povm, success = srm(vectors, priors)
         else:
             success = srm_success_pure(vectors, priors)

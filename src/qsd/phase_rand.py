@@ -27,6 +27,9 @@ DEFAULT_TAIL_TOL = 1e-12
 #: Hard cap on the truncation photon number, whatever the tail demands.
 DEFAULT_N_CAP = 150
 
+#: Largest dimension BlockDiagonalMatrix.to_dense will embed into.
+DENSE_DIMENSION_CAP = 10_000
+
 
 def default_tail_tol() -> float:
     """Library-wide tail tolerance, overridable via QSD_TAIL_TOL."""
@@ -140,19 +143,12 @@ def decompose(
     builds the Gram matrix of the four (or two) pure N-photon states in each
     retained subspace.
     """
-    if not spec.is_coherent:
-        raise ValueError(f"{spec.family_tag} has no Fock structure")
-    weights = np.array(poisson_series(spec.mean_photons, tail_tol, n_cap))
-    n_max = len(weights) - 1
-    grams = tuple(
-        symmetric.gram_matrix(symmetric.subspace_states(spec, n))
-        for n in range(n_max + 1)
-    )
+    weights, blocks = subspace_state_blocks(spec, tail_tol, n_cap)
     return SubspaceOverlapSeries(
         family_tag=spec.family_tag,
-        n_max=n_max,
+        n_max=len(weights) - 1,
         weights=weights,
-        per_n_gram=grams,
+        per_n_gram=tuple(symmetric.gram_matrix(states) for states in blocks),
         tail_mass=float(1.0 - weights.sum()),
     )
 
@@ -199,10 +195,10 @@ class BlockDiagonalMatrix:
     def trace(self) -> float:
         return float(sum(np.trace(b).real for b in self.blocks))
 
-    def to_dense(self, dimension_cap: int = 10_000) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         """Embed into the direct-sum basis (blocks in photon-number order)."""
         dim = self.dimension
-        if dim > dimension_cap:
+        if dim > DENSE_DIMENSION_CAP:
             raise CapacityError(f"dense embedding of dimension {dim} > cap")
         out = np.zeros((dim, dim), dtype=np.complex128)
         offset = 0
@@ -219,20 +215,23 @@ def mixed_state_matrix(
     """Phase-randomized density matrix of one family member, truncated at n_max.
 
     Block N equals p_N |psi_N><psi_N| with p_N the Poisson weight, so the
-    trace is the retained mass 1 - tail.
+    trace is the retained mass 1 - tail.  Built by the generic amplitude path
+    from the member's mode amplitudes, so the oracle route's density matrices
+    do not depend on `symmetric.subspace_states`.
     """
-    if not spec.is_coherent:
-        raise ValueError(f"{spec.family_tag} has no Fock structure")
     labels = spec.labels
     if which not in labels:
         raise ValueError(f"label {which!r} not in {labels}")
-    k = labels.index(which)
-    weights = poisson_weights(spec.mean_photons, n_max)
-    blocks = []
-    for n in range(n_max + 1):
-        psi = symmetric.subspace_states(spec, n)[k]
-        blocks.append(weights[n] * np.outer(psi, psi.conj()))
-    return BlockDiagonalMatrix(spec.modes, tuple(blocks))
+    amplitudes = spec.amplitude_vectors()[labels.index(which)]
+    return phase_randomized_state(CoherentStateVector(tuple(amplitudes)), n_max)
+
+
+def _subspace_component(state: CoherentStateVector, photons: int) -> np.ndarray:
+    """Normalized N-photon component of a coherent state, or zeros if it vanishes."""
+    basis = fock.enumerate_subspace(state.modes, photons)
+    vec = fock.subspace_amplitudes(state.amplitudes, basis)
+    norm = np.linalg.norm(vec)
+    return vec if norm == 0.0 else vec / norm
 
 
 def coherent_subspace_decomposition(
@@ -247,15 +246,7 @@ def coherent_subspace_decomposition(
     basis, normalized; its squared norm is the Poisson weight p_N.
     """
     weights = np.array(poisson_series(state.mean_photons, tail_tol, n_cap))
-    states = []
-    for n in range(len(weights)):
-        basis = fock.enumerate_subspace(state.modes, n)
-        vec = fock.subspace_amplitudes(state.amplitudes, basis)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise ValueError(f"zero amplitude in the {n}-photon subspace")
-        states.append(vec / norm)
-    return weights, states
+    return weights, [_subspace_component(state, n) for n in range(len(weights))]
 
 
 def phase_randomized_state(
@@ -264,15 +255,11 @@ def phase_randomized_state(
     """Phase-randomized density matrix of a generic coherent state."""
     weights = poisson_weights(state.mean_photons, n_max)
     blocks = []
-    for n in range(n_max + 1):
-        basis = fock.enumerate_subspace(state.modes, n)
-        vec = fock.subspace_amplitudes(state.amplitudes, basis)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            blocks.append(np.zeros((basis.dimension, basis.dimension), dtype=np.complex128))
-            continue
-        vec = vec / norm
-        blocks.append(weights[n] * np.outer(vec, vec.conj()))
+    for n, weight in enumerate(weights):
+        vec = _subspace_component(state, n)
+        block = np.outer(vec, vec.conj())
+        block *= weight  # in place: one block-sized temporary, not two
+        blocks.append(block)
     return BlockDiagonalMatrix(state.modes, tuple(blocks))
 
 

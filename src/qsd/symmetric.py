@@ -29,6 +29,14 @@ FAMILY_TAGS = tuple(COHERENT_FAMILY_MODES) + ("qutrit", "ququart")
 #: Tolerance for recognising the circulant pattern in a Gram matrix.
 CIRCULANT_TOLERANCE = 1e-12
 
+#: States handed to gram_matrix must have unit norm within this.
+NORM_TOLERANCE = 1e-10
+
+#: Gram eigenvalues: the largest imaginary part discarded as rounding, and the
+#: distance from zero within which a value is an exact zero (further below
+#: zero is an error).
+EIGENVALUE_TOLERANCE = 1e-10
+
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
@@ -160,14 +168,14 @@ def subspace_states(spec: SymmetricFamilySpec, photons: int) -> list[np.ndarray]
     return states
 
 
-def gram_matrix(states: Sequence[np.ndarray], norm_tol: float = 1e-10) -> GramMatrix:
+def gram_matrix(states: Sequence[np.ndarray]) -> GramMatrix:
     """Pairwise inner products <psi_i|psi_j>, with circulant detection."""
     size = len(states)
     dim = states[0].shape[0]
     for s in states:
         if s.shape != (dim,):
             raise ValueError("states must share one dimension")
-        if abs(np.linalg.norm(s) - 1.0) > norm_tol:
+        if abs(np.linalg.norm(s) - 1.0) > NORM_TOLERANCE:
             raise ValueError(f"state norm {np.linalg.norm(s):.12f} is not 1")
     entries = np.eye(size, dtype=np.complex128)
     for i in range(size):
@@ -188,15 +196,13 @@ def gram_matrix(states: Sequence[np.ndarray], norm_tol: float = 1e-10) -> GramMa
     return GramMatrix(size, entries, False, None)
 
 
-def circulant_eigenvalues(
-    g: GramMatrix, imag_tol: float = 1e-10, psd_tol: float = 1e-10
-) -> np.ndarray:
+def circulant_eigenvalues(g: GramMatrix) -> np.ndarray:
     """Eigenvalues lambda_k = sum_l c_l omega^{kl} of a circulant Gram matrix.
 
     omega = exp(2 pi i / L); eigenvalues are returned in DFT index order
     k = 0..L-1.  A Hermitian PSD circulant must produce real non-negative
-    values; residual imaginary parts below `imag_tol` are discarded and
-    negatives within `psd_tol` of zero are clipped.
+    values; residual imaginary parts below EIGENVALUE_TOLERANCE are discarded
+    and negatives within it of zero are clipped.
     """
     if not g.circulant:
         raise ValueError("Gram matrix is not circulant")
@@ -206,32 +212,32 @@ def circulant_eigenvalues(
     lam = np.array(
         [sum(row[l] * omega ** (k * l) for l in range(size)) for k in range(size)]
     )
-    if np.max(np.abs(lam.imag)) >= imag_tol:
+    if np.max(np.abs(lam.imag)) >= EIGENVALUE_TOLERANCE:
         raise InconsistentGramError(
             f"circulant eigenvalue has imaginary part {np.max(np.abs(lam.imag)):.3e}"
         )
     values = lam.real.copy()
-    if values.min() < -psd_tol:
+    if values.min() < -EIGENVALUE_TOLERANCE:
         raise InconsistentGramError(
-            f"circulant eigenvalue {values.min():.3e} below -{psd_tol:.1e}"
+            f"circulant eigenvalue {values.min():.3e} below -{EIGENVALUE_TOLERANCE:.1e}"
         )
     # eigenvalues within the PSD tolerance of zero are numerically zero;
     # letting sqrt see their rounding noise would manufacture ~1e-8 of mass
-    values[np.abs(values) < psd_tol] = 0.0
+    values[np.abs(values) < EIGENVALUE_TOLERANCE] = 0.0
     return values
 
 
-def gram_eigenvalues(g: GramMatrix, psd_tol: float = 1e-10) -> np.ndarray:
+def gram_eigenvalues(g: GramMatrix) -> np.ndarray:
     """Eigenvalues of a Gram matrix: DFT route when circulant, dense otherwise."""
     if g.circulant:
-        return circulant_eigenvalues(g, psd_tol=psd_tol)
+        return circulant_eigenvalues(g)
     dec = fock.hermitian_eig(g.entries)
     values = dec.eigenvalues.copy()
-    if values.size and values[-1] < -psd_tol:
+    if values.size and values[-1] < -EIGENVALUE_TOLERANCE:
         raise InconsistentGramError(
-            f"Gram eigenvalue {values[-1]:.3e} below -{psd_tol:.1e}"
+            f"Gram eigenvalue {values[-1]:.3e} below -{EIGENVALUE_TOLERANCE:.1e}"
         )
-    values[np.abs(values) < psd_tol] = 0.0
+    values[np.abs(values) < EIGENVALUE_TOLERANCE] = 0.0
     return values
 
 

@@ -1,8 +1,10 @@
-"""Names the benchmark's traced run relies on must keep resolving.
+"""Names and behaviour the benchmark relies on must keep holding.
 
 benchmarks/spans.py wraps each function listed in its LAYERS table by name,
 and the benchmark's Gram-route check reads fields of phase_rand.decompose.
 A rename or deletion would otherwise surface only when the traced run breaks.
+The benchmark also counts a raised CapacityError as an expected refusal but
+any non-zero exit code as a wrong answer.
 """
 
 import importlib
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from qsd import phase_rand
+from qsd import cli, phase_rand
+from qsd.fock import CapacityError
 from qsd.symmetric import SymmetricFamilySpec
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
@@ -38,3 +41,12 @@ def test_layer_functions_resolve(module):
 def test_decompose_exposes_gram_route_fields():
     series = phase_rand.decompose(SymmetricFamilySpec("three_mode", 0.7), 1e-12)
     assert len(series.weights) == len(series.per_n_gram) == series.n_max + 1
+
+
+def test_photon_cap_raises_capacity_error(capsys):
+    # mapping this refusal to an exit code would turn every capped
+    # curve_requests request into a wrong answer; change the benchmark first
+    with pytest.raises(CapacityError):
+        cli.main(["curve", "--family", "three_mode", "--metric", "p_corr",
+                  "--alpha", "0:10:3"])
+    assert capsys.readouterr().out == ""

@@ -181,7 +181,11 @@ class TestCurve:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("grid", ["0:0:5", "1:0.5:4", "0:1:1", "nonsense"])
+    @pytest.mark.parametrize(
+        "grid",
+        ["0:0:5", "1:0.5:4", "0:1:1", "nonsense",
+         "0:nan:2", "nan:1:2", "0:inf:2", "0:1e400:2"],
+    )
     def test_degenerate_grids_rejected(self, grid, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(
@@ -320,3 +324,19 @@ class TestCircuit:
     def test_wrong_amplitude_count(self, capsys):
         code, _out, _err = run(["circuit", "fig3", "--amplitudes", "1,2"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--state", "0", "--alpha", "nan"],
+            ["--state", "0", "--alpha", "inf"],
+            ["--state", "0", "--alpha", "-1"],
+            ["--amplitudes", "nan,0"],
+            ["--amplitudes", "0,inf"],
+            ["--amplitudes", "1,nanj"],
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, flags, capsys):
+        code, out, err = run(["circuit", "bs2"] + flags, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -187,7 +187,7 @@ class TestSymmetryUnitary:
 
 class TestGenericCoherentPath:
     def test_matches_family_subspace_states(self):
-        for tag in ("three_mode", "phase_encoded"):
+        for tag in ("two_mode", "three_mode", "four_mode", "phase_encoded"):
             spec = SymmetricFamilySpec(tag, 0.8)
             for k, alphas in enumerate(spec.amplitude_vectors()):
                 weights, states = phase_rand.coherent_subspace_decomposition(
