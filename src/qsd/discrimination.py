@@ -11,6 +11,7 @@ that vanish identically do so to the last bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,10 +41,19 @@ def _family_tag(family) -> str:
     return tag
 
 
-def _check_alpha(alpha_abs: float) -> float:
+def _intensity(alpha_abs: float) -> float:
+    """|alpha|^2 of a non-negative |alpha|, saturating at the largest float.
+
+    Past the float range every exp(-k |alpha|^2) is exactly 0, so each
+    closed form returns its exact limit and a Poisson series raises
+    CapacityError, instead of the square raising OverflowError.
+    """
     if alpha_abs < 0:
         raise ValueError(f"negative |alpha| {alpha_abs}")
-    return float(alpha_abs)
+    try:
+        return float(alpha_abs) ** 2
+    except OverflowError:
+        return sys.float_info.max
 
 
 def _normalized_prior(p: float) -> float:
@@ -83,8 +93,7 @@ def _mixed_series(
     summed left to right in N, so a point's value does not depend on the
     grid it sits on.  Returns (value, number of terms).
     """
-    alpha_abs = _check_alpha(alpha_abs)
-    weights = poisson_series(COHERENT_FAMILY_MODES[tag] * alpha_abs**2, tail_tol)
+    weights = poisson_series(COHERENT_FAMILY_MODES[tag] * _intensity(alpha_abs), tail_tol)
     total = 0.0
     for p_n, s_n in zip(weights, _subspace_table(tag, metric)):
         total += p_n * s_n
@@ -97,9 +106,9 @@ def _mixed_series(
 
 def two_mode_mixed_pcorr(alpha_abs: float, p_min: float = 0.5) -> float:
     """Helstrom probability 1 - p_min exp(-2|alpha|^2) after phase randomization."""
-    alpha_abs = _check_alpha(alpha_abs)
+    w = _intensity(alpha_abs)
     p = _normalized_prior(p_min)
-    return 1.0 - p * math.exp(-2.0 * alpha_abs**2)
+    return 1.0 - p * math.exp(-2.0 * w)
 
 
 def two_mode_pure_pcorr(alpha_abs: float, p_min: float = 0.5) -> float:
@@ -107,16 +116,15 @@ def two_mode_pure_pcorr(alpha_abs: float, p_min: float = 0.5) -> float:
 
     1/2 + (1/2) sqrt(1 - 4 p (1-p) exp(-4|alpha|^2)).
     """
-    alpha_abs = _check_alpha(alpha_abs)
+    w = _intensity(alpha_abs)
     p = _normalized_prior(p_min)
-    radicand = _clip_radicand(1.0 - 4.0 * p * (1.0 - p) * math.exp(-4.0 * alpha_abs**2))
+    radicand = _clip_radicand(1.0 - 4.0 * p * (1.0 - p) * math.exp(-4.0 * w))
     return 0.5 + 0.5 * math.sqrt(radicand)
 
 
 def two_mode_unambiguous(alpha_abs: float) -> float:
     """Success of the optimal unambiguous measurement, 1 - exp(-2|alpha|^2)."""
-    alpha_abs = _check_alpha(alpha_abs)
-    return 1.0 - math.exp(-2.0 * alpha_abs**2)
+    return 1.0 - math.exp(-2.0 * _intensity(alpha_abs))
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +151,7 @@ def _signed_third_power(n: int) -> float:
 
 def three_mode_pure_pcorr(alpha_abs: float) -> float:
     """Minimum-error probability (1/4) (1 + sqrt(1 - exp(-4|alpha|^2)))^2."""
-    alpha_abs = _check_alpha(alpha_abs)
-    root = math.sqrt(_clip_radicand(1.0 - math.exp(-4.0 * alpha_abs**2)))
+    root = math.sqrt(_clip_radicand(1.0 - math.exp(-4.0 * _intensity(alpha_abs))))
     return 0.25 * (1.0 + root) ** 2
 
 
@@ -158,14 +165,12 @@ def four_mode_mixed_pcorr(alpha_abs: float) -> float:
     A single photon anywhere identifies the state; only the vacuum forces a
     one-in-four guess, so the series collapses to a closed form.
     """
-    alpha_abs = _check_alpha(alpha_abs)
-    return 1.0 - 0.75 * math.exp(-4.0 * alpha_abs**2)
+    return 1.0 - 0.75 * math.exp(-4.0 * _intensity(alpha_abs))
 
 
 def four_mode_unambiguous(alpha_abs: float) -> float:
     """Unambiguous success probability 1 - exp(-4|alpha|^2)."""
-    alpha_abs = _check_alpha(alpha_abs)
-    return 1.0 - math.exp(-4.0 * alpha_abs**2)
+    return 1.0 - math.exp(-4.0 * _intensity(alpha_abs))
 
 
 def four_mode_pure_pcorr(alpha_abs: float) -> float:
@@ -173,8 +178,7 @@ def four_mode_pure_pcorr(alpha_abs: float) -> float:
 
     (1/16) (sqrt(1 + 3 e) + 3 sqrt(1 - e))^2 with e = exp(-4|alpha|^2).
     """
-    alpha_abs = _check_alpha(alpha_abs)
-    e = math.exp(-4.0 * alpha_abs**2)
+    e = math.exp(-4.0 * _intensity(alpha_abs))
     return (math.sqrt(1.0 + 3.0 * e) + 3.0 * math.sqrt(_clip_radicand(1.0 - e))) ** 2 / 16.0
 
 
@@ -232,14 +236,18 @@ def phase_encoded_pure_pcorr(alpha_abs: float) -> float:
     (e^{-w}/4) (sqrt(cosh w + sqrt(cosh^2 w - cos^2 w))
                + sqrt(sinh w + sqrt(sinh^2 w - sin^2 w)))^2 with w = |alpha|^2;
     both inner radicands are non-negative for all w >= 0 and the value tends
-    to 1/4 as w -> 0 (cosh, cos -> 1 and sinh, sin -> 0).
+    to 1/4 as w -> 0 (cosh, cos -> 1 and sinh, sin -> 0).  Where cosh^2 w
+    overflows (w > 355.58) the value has long been 1 to rounding, and 1 is
+    returned.
     """
-    alpha_abs = _check_alpha(alpha_abs)
-    w = alpha_abs**2
-    ch, sh = math.cosh(w), math.sinh(w)
+    w = _intensity(alpha_abs)
     c, s = math.cos(w), math.sin(w)
-    first = math.sqrt(ch + math.sqrt(_clip_radicand(ch**2 - c**2)))
-    second = math.sqrt(sh + math.sqrt(_clip_radicand(sh**2 - s**2)))
+    try:
+        ch, sh = math.cosh(w), math.sinh(w)
+        first = math.sqrt(ch + math.sqrt(_clip_radicand(ch**2 - c**2)))
+        second = math.sqrt(sh + math.sqrt(_clip_radicand(sh**2 - s**2)))
+    except OverflowError:
+        return 1.0
     return math.exp(-w) * (first + second) ** 2 / 4.0
 
 
@@ -336,8 +344,7 @@ def p1bit_from_overlaps(f_overlap: complex, g_overlap: float) -> float:
 def pure_overlaps(family, alpha_abs: float) -> tuple[complex, float]:
     """(F, G) pairwise overlaps of the pure four-state coherent families."""
     tag = _family_tag(family)
-    alpha_abs = _check_alpha(alpha_abs)
-    w = alpha_abs**2
+    w = _intensity(alpha_abs)
     if tag == "three_mode":
         return complex(math.exp(-2.0 * w)), math.exp(-4.0 * w)
     if tag == "four_mode":
@@ -415,7 +422,6 @@ def family_p1bit(
         raise ValueError(f"{tag} does not encode two bits in four states")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    alpha_abs = _check_alpha(alpha_abs)
     if variant == "pure":
         f, g = pure_overlaps(tag, alpha_abs)
         return p1bit_from_overlaps(f, g)

@@ -50,24 +50,12 @@ class NotPositiveSemidefiniteError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _log_factorials(n_max: int) -> np.ndarray:
-    """Table of ln(n!) for n = 0..n_max."""
+def log_factorials(n_max: int) -> np.ndarray:
+    """Cached table of ln(n!) for n = 0..n_max (do not mutate)."""
     table = np.zeros(n_max + 1)
     for n in range(2, n_max + 1):
         table[n] = table[n - 1] + math.log(n)
     return table
-
-
-def log_factorial(n: int) -> float:
-    """ln(n!) from the cached table."""
-    if n < 0:
-        raise ValueError(f"negative occupation {n}")
-    return _log_factorials(max(n, 64))[n]
-
-
-def log_factorials(n_max: int) -> np.ndarray:
-    """Cached table of ln(n!) for n = 0..n_max (at least; do not mutate)."""
-    return _log_factorials(max(n_max, 64))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +166,7 @@ def coherent_amplitude(
         mag = abs(a)
         if mag == 0.0:
             return 0.0 + 0.0j
-        log_mag += n * math.log(mag) - 0.5 * log_factorial(n)
+        log_mag += n * math.log(mag) - 0.5 * log_factorials(n)[n]
         phase += n * math.atan2(a.imag, a.real)
     value = math.exp(log_mag) * complex(math.cos(phase), math.sin(phase))
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -195,7 +183,7 @@ def subspace_amplitudes(alphas: Sequence[complex], basis: SubspaceBasis) -> np.n
     if len(alphas) != basis.modes:
         raise ValueError(f"{len(alphas)} amplitudes for {basis.modes}-mode basis")
     occ = basis.occupation_array
-    lf = _log_factorials(max(basis.photons, 64))
+    lf = log_factorials(basis.photons)
     log_mag = np.full(basis.dimension, -0.5 * sum(abs(a) ** 2 for a in alphas))
     phase = np.zeros(basis.dimension)
     alive = np.ones(basis.dimension, dtype=bool)

@@ -113,12 +113,16 @@ def transfer_matrix(circuit: LinearCircuit) -> np.ndarray:
 def click_statistics(
     circuit: LinearCircuit, amplitudes: Sequence[complex]
 ) -> ClickDistribution:
-    """Threshold-detector statistics for one coherent input."""
+    """Threshold-detector statistics for one coherent input.
+
+    An energy that overflows to inf clicks with probability 1, its exact limit.
+    """
     out = apply_circuit(circuit, amplitudes)
     probs = []
     total_energy = 0.0
     for name, mode in circuit.detectors:
-        energy = abs(out[mode]) ** 2
+        with np.errstate(over="ignore"):
+            energy = abs(out[mode]) ** 2
         total_energy += energy
         probs.append((name, 1.0 - math.exp(-energy)))
     return ClickDistribution(tuple(probs), math.exp(-total_energy), circuit.identify)

@@ -18,10 +18,6 @@ import numpy as np
 from . import fock, phase_rand
 from .phase_rand import CoherentStateVector, default_tail_tol
 
-#: Per-block subspace dimension up to which block_srm uses full dense matrices;
-#: larger blocks are reduced exactly to the span of their states first.
-DENSE_CAP = 96
-
 #: Eigenvalue magnitude below which a Helstrom difference operator is "zero".
 SIGN_THRESHOLD = 1e-12
 
@@ -157,7 +153,7 @@ def helstrom_two(rho0: np.ndarray, rho1: np.ndarray, p0: float) -> tuple[Povm, f
 
 
 # ---------------------------------------------------------------------------
-# span reduction for large subspaces
+# span reduction of pure-state blocks
 
 
 def span_orthonormal_basis(vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -208,24 +204,15 @@ def block_srm(
     """Photon-counting strategy: per-block SRM successes, Poisson-averaged.
 
     `blocks[N]` holds the equiprobable pure states of the N-photon subspace
-    (as vectors); the result is sum_N p_N * SRM success in block N.  Small
-    blocks run as full dense matrices, large ones via exact span reduction.
+    (as vectors); the result is sum_N p_N * SRM success in block N, each
+    block reduced exactly to the span of its states.
     """
     if len(blocks) != len(weights):
         raise ValueError("one weight per block required")
     weights = np.asarray(weights, dtype=float)
     if weights.min() < 0.0 or weights.sum() > 1.0 + 1e-12:
         raise ValueError("weights must be a (truncated) probability sequence")
-    total = 0.0
-    for block, weight in zip(blocks, weights):
-        vectors = [np.asarray(v, dtype=np.complex128) for v in block]
-        priors = [1.0 / len(vectors)] * len(vectors)
-        if vectors[0].shape[0] <= DENSE_CAP:
-            _povm, success = srm(vectors, priors)
-        else:
-            success = srm_success_pure(vectors, priors)
-        total += weight * success
-    return float(total)
+    return float(sum(w * srm_success_pure(block) for block, w in zip(blocks, weights)))
 
 
 def whole_matrix_srm(

@@ -234,21 +234,6 @@ def _subspace_component(state: CoherentStateVector, photons: int) -> np.ndarray:
     return vec if norm == 0.0 else vec / norm
 
 
-def coherent_subspace_decomposition(
-    state: CoherentStateVector,
-    tail_tol: float | None = None,
-    n_cap: int = DEFAULT_N_CAP,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Generic per-N pure states of an arbitrary phase-randomized coherent state.
-
-    Works for any amplitude vector, not just the named families: component N
-    of the pure state is the coherent amplitude vector over the N-photon
-    basis, normalized; its squared norm is the Poisson weight p_N.
-    """
-    weights = np.array(poisson_series(state.mean_photons, tail_tol, n_cap))
-    return weights, [_subspace_component(state, n) for n in range(len(weights))]
-
-
 def phase_randomized_state(
     state: CoherentStateVector, n_max: int
 ) -> BlockDiagonalMatrix:

@@ -262,6 +262,20 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
 # appendix_a: direct-sum structure of phase-randomized states
 
 
+def _rank1_projector_defect(u: np.ndarray) -> float:
+    """||u - w w^+||_F + | ||w||^2 - 1 |, zero iff u is a rank-1 projector.
+
+    w = u[:, j] / sqrt(u_jj) for the column j with the largest real diagonal,
+    or w = 0 when no diagonal is positive (then u is no rank-1 projector and
+    the defect is ||u||_F + 1).  O(d^2); overwrites u.
+    """
+    j = int(np.argmax(u.diagonal().real))
+    pivot = float(u[j, j].real)
+    w = u[:, j] / math.sqrt(pivot) if pivot > 0.0 else np.zeros(u.shape[0], complex)
+    u -= np.outer(w, w.conj())
+    return float(np.linalg.norm(u)) + abs(float(np.vdot(w, w).real) - 1.0)
+
+
 def suite_appendix_a(tail_tol: float = 1e-12) -> list[CheckResult]:
     results = []
 
@@ -274,8 +288,7 @@ def suite_appendix_a(tail_tol: float = 1e-12) -> list[CheckResult]:
             rho = phase_rand.mixed_state_matrix(spec, label, n_max)
             weights = phase_rand.poisson_weights(spec.mean_photons, n_max)
             for p_n, block in zip(weights, rho.blocks):
-                unit = block / p_n
-                worst = max(worst, float(np.linalg.norm(unit @ unit - unit)))
+                worst = max(worst, _rank1_projector_defect(block / p_n))
     results.append(_check("appendix_a.block_purity", worst, 1e-10))
 
     # the generating unitary maps neighbours onto each other, and U^L = 1

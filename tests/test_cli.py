@@ -194,6 +194,25 @@ class TestCurve:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("family", disc.COHERENT_FAMILIES)
+    def test_pure_curve_past_float_range(self, family, capsys):
+        code, out, err = run(
+            ["curve", "--family", family, "--metric", "p_corr", "--variants", "pure",
+             "--alpha", "0:1e200:2"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "1e+200,1"
+
+    def test_phase_encoded_pure_past_cosh_overflow(self, capsys):
+        code, out, err = run(
+            ["curve", "--family", "phase_encoded", "--metric", "p_corr",
+             "--variants", "pure", "--alpha", "0:30:3"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == ["15,1", "30,1"]
+
     def test_tail_tol_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("QSD_TAIL_TOL", "1e-6")
         code, out, _err = run(
@@ -289,6 +308,18 @@ class TestCircuit:
         d3 = next(line for line in out.splitlines() if line.startswith("D3"))
         assert float(d3.split(":")[1]) == pytest.approx(1.0 - math.exp(-4.0), rel=1e-11)
         assert "identified: 00" in out
+
+    def test_fig3_overflowing_energy_is_silent(self, capsys):
+        code, out, err = run(["circuit", "fig3", "--state", "00", "--alpha", "1e200"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "D1 (identifies 11): 0",
+            "D2 (identifies 10): 0",
+            "D3 (identifies 00): 1",
+            "D4 (identifies 01): 0",
+            "no_click: 0",
+            "identified: 00",
+        ]
 
     def test_bs2_difference_port(self, capsys):
         code, out, _err = run(["circuit", "bs2", "--state", "1", "--alpha", "0.5"], capsys)

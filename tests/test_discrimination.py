@@ -5,6 +5,7 @@ import pytest
 
 from qsd import discrimination as disc
 from qsd import oracle, phase_rand, symmetric
+from qsd.fock import CapacityError
 from qsd.symmetric import SymmetricFamilySpec
 
 FOUR_STATE = ("three_mode", "four_mode", "phase_encoded")
@@ -24,9 +25,9 @@ def pure_family_vectors(tag, alpha, tail_tol=1e-12):
     spec = SymmetricFamilySpec(tag, alpha)
     vectors = []
     for alphas in spec.amplitude_vectors():
-        weights, states = phase_rand.coherent_subspace_decomposition(
-            phase_rand.CoherentStateVector(tuple(alphas)), tail_tol
-        )
+        state = phase_rand.CoherentStateVector(tuple(alphas))
+        weights = phase_rand.poisson_series(state.mean_photons, tail_tol)
+        states = [phase_rand._subspace_component(state, n) for n in range(len(weights))]
         full = np.concatenate([math.sqrt(w) * s for w, s in zip(weights, states)])
         vectors.append(full / np.linalg.norm(full))
     return vectors
@@ -327,3 +328,31 @@ class TestDeltaAndShapes:
         report = disc.phase_encoded_ot_crossover(grid_points=801)
         assert report.intervals
         assert 0.7 <= report.lower_bound <= 0.9
+
+
+@pytest.mark.parametrize("alpha", (30.0, 1e200))
+class TestLargeAlphaLimits:
+    """cosh^2 |alpha|^2 overflows at |alpha| = 30, |alpha|^2 itself at 1e200."""
+
+    def test_closed_forms_reach_one(self, alpha):
+        for tag in ("two_mode",) + FOUR_STATE:
+            assert disc.family_pcorr(tag, "pure", alpha) == 1.0
+        for tag in FOUR_STATE:
+            assert disc.family_p1bit(tag, "pure", alpha) == 1.0
+            assert disc.family_bot(tag, "pure", alpha) == 1.0
+        assert disc.family_pcorr("two_mode", "mixed", alpha, prior=0.3) == 1.0
+        assert disc.four_mode_mixed_pcorr(alpha) == 1.0
+        assert disc.four_mode_unambiguous(alpha) == 1.0
+        assert disc.two_mode_unambiguous(alpha) == 1.0
+        assert disc.delta_pcorr("four_mode", alpha) == 0.0
+
+    def test_pure_overlaps_vanish(self, alpha):
+        for tag in FOUR_STATE:
+            assert disc.pure_overlaps(tag, alpha) == (0.0, 0.0)
+
+    def test_mixed_series_hit_the_cap(self, alpha):
+        for tag in ("three_mode", "phase_encoded"):
+            with pytest.raises(CapacityError):
+                disc.family_pcorr(tag, "mixed", alpha)
+            with pytest.raises(CapacityError):
+                disc.family_p1bit(tag, "mixed", alpha)

@@ -127,12 +127,14 @@ class TestSpanReduction:
         assert basis.shape == (3, 2)
 
     def test_reduced_srm_equals_dense(self):
-        spec = SymmetricFamilySpec("four_mode", 0.9)
-        for photons in (2, 4):
-            states = symmetric.subspace_states(spec, photons)
-            _p, dense = oracle.srm(states, [0.25] * 4)
-            reduced = oracle.srm_success_pure(states)
-            assert reduced == pytest.approx(dense, abs=1e-11)
+        # block_srm runs only span-reduced SRMs: this ties them to the dense one
+        for tag in ("two_mode", "three_mode", "four_mode", "phase_encoded"):
+            spec = SymmetricFamilySpec(tag, 0.9)
+            for photons in range(0, 7):
+                states = symmetric.subspace_states(spec, photons)
+                _p, dense = oracle.srm(states, [1.0 / len(states)] * len(states))
+                reduced = oracle.srm_success_pure(states)
+                assert reduced == pytest.approx(dense, abs=1e-11)
 
 
 class TestBlockSrm:
