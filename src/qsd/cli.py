@@ -256,7 +256,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             request = _curve_request(args)
             if args.output is None:
                 return cmd_curve(request, sys.stdout)
-            with open(args.output, "w") as handle:
+            try:
+                handle = open(args.output, "w")
+            except OSError as exc:
+                raise UsageError(f"cannot write {args.output}: {exc.strerror}")
+            with handle:
                 return cmd_curve(request, handle)
         return cmd_circuit(args, sys.stdout)
     except UsageError as exc:

@@ -44,14 +44,17 @@ def _family_tag(family) -> str:
 def _intensity(alpha_abs: float) -> float:
     """|alpha|^2 of a non-negative |alpha|, saturating at the largest float.
 
-    Past the float range every exp(-k |alpha|^2) is exactly 0, so each
-    closed form returns its exact limit and a Poisson series raises
-    CapacityError, instead of the square raising OverflowError.
+    Past the float range, |alpha| = inf included, every exp(-k |alpha|^2) is
+    exactly 0, so each closed form returns its exact limit and a Poisson
+    series raises CapacityError, instead of the square raising OverflowError
+    or a trigonometric factor raising on inf.  NaN raises ValueError.
     """
+    if math.isnan(alpha_abs):
+        raise ValueError("|alpha| is NaN")
     if alpha_abs < 0:
         raise ValueError(f"negative |alpha| {alpha_abs}")
     try:
-        return float(alpha_abs) ** 2
+        return min(float(alpha_abs) ** 2, sys.float_info.max)
     except OverflowError:
         return sys.float_info.max
 

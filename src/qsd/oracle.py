@@ -134,9 +134,8 @@ def helstrom_two(rho0: np.ndarray, rho1: np.ndarray, p0: float) -> tuple[Povm, f
     to_one = dec.eigenvalues < -SIGN_THRESHOLD
     in_kernel = ~(to_zero | to_one)
     if np.any(in_kernel):
-        weight = np.einsum(
-            "ij,jk,ki->i", v.conj().T[in_kernel], average, v[:, in_kernel]
-        ).real
+        vk = v[:, in_kernel]
+        weight = (vk.conj() * (average @ vk)).sum(axis=0).real
         occupied = np.zeros_like(in_kernel)
         occupied[in_kernel] = weight > SIGN_THRESHOLD
         if p0 >= p1:

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -234,18 +235,27 @@ def _subspace_component(state: CoherentStateVector, photons: int) -> np.ndarray:
     return vec if norm == 0.0 else vec / norm
 
 
+def randomized_blocks(
+    state: CoherentStateVector, n_max: int
+) -> Iterator[np.ndarray]:
+    """Yield the blocks p_N |psi_N><psi_N| for N = 0..n_max, one at a time.
+
+    Each block is a fresh array the caller owns and may overwrite; a caller
+    that drops each block before asking for the next never holds the whole
+    matrix.
+    """
+    for n, weight in enumerate(poisson_weights(state.mean_photons, n_max)):
+        vec = _subspace_component(state, n)
+        block = np.outer(vec, vec.conj())
+        block *= weight  # in place: one block-sized temporary, not two
+        yield block
+
+
 def phase_randomized_state(
     state: CoherentStateVector, n_max: int
 ) -> BlockDiagonalMatrix:
     """Phase-randomized density matrix of a generic coherent state."""
-    weights = poisson_weights(state.mean_photons, n_max)
-    blocks = []
-    for n, weight in enumerate(weights):
-        vec = _subspace_component(state, n)
-        block = np.outer(vec, vec.conj())
-        block *= weight  # in place: one block-sized temporary, not two
-        blocks.append(block)
-    return BlockDiagonalMatrix(state.modes, tuple(blocks))
+    return BlockDiagonalMatrix(state.modes, tuple(randomized_blocks(state, n_max)))
 
 
 # ---------------------------------------------------------------------------

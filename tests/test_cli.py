@@ -156,6 +156,14 @@ class TestCurve:
         assert lines[0] == "alpha_abs,p_corr_pure,p_corr_mixed"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unwritable_output_path(self, target, tmp_path, capsys):
+        path = tmp_path / "no_such_dir" / "x.csv" if target == "missing" else tmp_path
+        argv = ["curve", "--family", "four_mode", "--metric", "p_corr"]
+        code, out, err = run(argv + ["--alpha", "0:1:3", "-o", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
     def test_invalid_family_metric_combination(self, capsys):
         code, _out, err = run(
             ["curve", "--family", "two_mode", "--metric", "p_1bit", "--alpha", "0:1:3"],

@@ -330,9 +330,12 @@ class TestDeltaAndShapes:
         assert 0.7 <= report.lower_bound <= 0.9
 
 
-@pytest.mark.parametrize("alpha", (30.0, 1e200))
+@pytest.mark.parametrize("alpha", (30.0, 1e200, math.inf))
 class TestLargeAlphaLimits:
-    """cosh^2 |alpha|^2 overflows at |alpha| = 30, |alpha|^2 itself at 1e200."""
+    """cosh^2 |alpha|^2 overflows at |alpha| = 30, |alpha|^2 itself at 1e200.
+
+    |alpha| = inf saturates the same way.
+    """
 
     def test_closed_forms_reach_one(self, alpha):
         for tag in ("two_mode",) + FOUR_STATE:
@@ -356,3 +359,33 @@ class TestLargeAlphaLimits:
                 disc.family_pcorr(tag, "mixed", alpha)
             with pytest.raises(CapacityError):
                 disc.family_p1bit(tag, "mixed", alpha)
+
+
+@pytest.mark.parametrize("variant", disc.VARIANTS)
+@pytest.mark.parametrize("tag", ("two_mode",) + FOUR_STATE)
+class TestNonFiniteAlpha:
+    """NaN is refused; inf gives the exact limit, or CapacityError for a series.
+
+    p_1bit is defined for the four-state families only.
+    """
+
+    def test_nan_raises(self, tag, variant):
+        with pytest.raises(ValueError, match="NaN"):
+            disc.family_pcorr(tag, variant, math.nan)
+        if tag != "two_mode":
+            with pytest.raises(ValueError, match="NaN"):
+                disc.family_p1bit(tag, variant, math.nan)
+
+    def test_inf_is_the_limit(self, tag, variant):
+        if variant == "pure" or tag in ("two_mode", "four_mode"):
+            assert disc.family_pcorr(tag, variant, math.inf) == 1.0
+        else:
+            with pytest.raises(CapacityError):
+                disc.family_pcorr(tag, variant, math.inf)
+        if tag == "two_mode":
+            return
+        if variant == "pure":
+            assert disc.family_p1bit(tag, variant, math.inf) == 1.0
+        else:
+            with pytest.raises(CapacityError):
+                disc.family_p1bit(tag, variant, math.inf)

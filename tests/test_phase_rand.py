@@ -210,6 +210,20 @@ class TestGenericCoherentPath:
             expected[0, 0] = phase_rand.poisson_weights(mean, n)[n]  # ket |N,0>
             assert np.max(np.abs(block - expected)) < 1e-14
 
+    def test_streamed_blocks_equal_stored_blocks(self):
+        for tag, label in (("four_mode", "01"), ("two_mode", "1")):
+            spec = SymmetricFamilySpec(tag, 0.7)
+            alphas = spec.amplitude_vectors()[spec.labels.index(label)]
+            state = CoherentStateVector(tuple(alphas))
+            streamed = list(phase_rand.randomized_blocks(state, 8))
+            stored = phase_rand.mixed_state_matrix(spec, label, 8).blocks
+            weights = phase_rand.poisson_weights(state.mean_photons, 8)
+            assert len(streamed) == len(stored) == 9
+            for n, (mine, theirs) in enumerate(zip(streamed, stored)):
+                vec = phase_rand._subspace_component(state, n)
+                assert np.array_equal(mine, theirs)
+                assert np.array_equal(mine, np.outer(vec, vec.conj()) * weights[n])
+
     def test_weights_are_squared_norms(self):
         state = CoherentStateVector((0.4 + 0.3j, -0.7, 0.2j))
         weights = phase_rand.poisson_series(state.mean_photons, 1e-10)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qsd import verify
+from qsd.symmetric import SymmetricFamilySpec
 
 
 def test_all_suites_pass():
@@ -56,3 +59,18 @@ class TestRank1ProjectorDefect:
 
     def test_zero_matrix_fails_without_raising(self):
         assert verify._rank1_projector_defect(np.zeros((3, 3), complex)) > 1e-3
+
+
+def test_block_purity_holds_one_block_at_a_time():
+    # four_mode at |alpha| = 0.7 runs to N = 16: the largest block is 969 x 969
+    # complex (15 MB) and all blocks of one member take 44 MB.  Streaming needs
+    # the block plus one block-sized temporary; 45 MB allows 3 blocks.
+    spec = SymmetricFamilySpec("four_mode", 0.7)
+    tracemalloc.start()
+    try:
+        defect = verify._block_purity_defect(spec)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert defect < 1e-10
+    assert peak < 45e6
