@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import io
 import math
 import sys
 from dataclasses import dataclass, field
@@ -256,12 +257,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             request = _curve_request(args)
             if args.output is None:
                 return cmd_curve(request, sys.stdout)
+            text = io.StringIO()  # rows first: a failing request leaves the file alone
+            cmd_curve(request, text)
             try:
-                handle = open(args.output, "w")
+                with open(args.output, "w") as handle:
+                    handle.write(text.getvalue())
             except OSError as exc:
                 raise UsageError(f"cannot write {args.output}: {exc.strerror}")
-            with handle:
-                return cmd_curve(request, handle)
+            return 0
         return cmd_circuit(args, sys.stdout)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

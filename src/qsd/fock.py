@@ -51,10 +51,11 @@ class NotPositiveSemidefiniteError(ValueError):
 
 @lru_cache(maxsize=None)
 def log_factorials(n_max: int) -> np.ndarray:
-    """Cached table of ln(n!) for n = 0..n_max (do not mutate)."""
+    """Cached, read-only table of ln(n!) for n = 0..n_max."""
     table = np.zeros(n_max + 1)
     for n in range(2, n_max + 1):
         table[n] = table[n - 1] + math.log(n)
+    table.flags.writeable = False
     return table
 
 
@@ -68,7 +69,8 @@ class SubspaceBasis:
     The canonical order is lexicographically descending on the occupation
     tuples, e.g. (N,0,...,0) first and (0,...,0,N) last, so that matrices
     built by different modules index identically.  The dimension is the
-    stars-and-bars count C(N+M-1, M-1).
+    stars-and-bars count C(N+M-1, M-1).  The basis is one read-only
+    dimension x modes int64 array; positions come from a ranking formula.
     """
 
     def __init__(self, modes: int, photons: int):
@@ -78,33 +80,46 @@ class SubspaceBasis:
             raise ValueError(f"negative photon number {photons}")
         self.modes = modes
         self.photons = photons
-        self.index_list = tuple(_compositions(photons, modes))
-        self.dimension = len(self.index_list)
-        self._position = {occ: i for i, occ in enumerate(self.index_list)}
-        # dim x modes integer array, handy for vectorised amplitude work
-        self.occupation_array = np.array(self.index_list, dtype=np.int64).reshape(
-            self.dimension, modes
-        )
+        # add one mode at a time: splitting each row's last entry L into
+        # (L - j, j), j = 0..L, keeps the rows lex-descending
+        occ = np.full((1, 1), photons, dtype=np.int64)
+        for _ in range(modes - 1):
+            parent = np.repeat(np.arange(len(occ)), occ[:, -1] + 1)
+            moved = np.arange(len(parent)) - np.searchsorted(parent, parent)
+            occ = np.column_stack([occ[parent], moved])
+            occ[:, -2] -= moved
+        occ.flags.writeable = False
+        self.occupation_array = occ
+        self.dimension = len(occ)
+
+    @property
+    def index_list(self) -> tuple[tuple[int, ...], ...]:
+        """Occupation tuples in canonical order (built on demand)."""
+        return tuple(map(tuple, self.occupation_array.tolist()))
+
+    def ranks(self, occupations: np.ndarray) -> np.ndarray:
+        """Positions of rows of basis occupations: an occupation whose last k
+        modes hold S_k photons follows sum_{k=1}^{M-1} C(S_k + k - 1, k) rows.
+        """
+        suffix = np.cumsum(occupations[:, ::-1], axis=1)
+        rank = np.zeros(len(occupations), dtype=np.int64)
+        for k in range(1, self.modes):
+            comb = np.array([math.comb(s + k - 1, k) for s in range(self.photons + 1)])
+            rank += comb[suffix[:, k - 1]]
+        return rank
 
     def index(self, occupations: tuple[int, ...]) -> int:
         """Position of an occupation tuple in the canonical order."""
-        return self._position[tuple(occupations)]
+        occ = tuple(occupations)
+        if len(occ) != self.modes or min(occ) < 0 or sum(occ) != self.photons:
+            raise KeyError(occ)
+        return int(self.ranks(np.array([occ]))[0])
 
     def __len__(self) -> int:
         return self.dimension
 
     def __repr__(self) -> str:
         return f"SubspaceBasis(modes={self.modes}, photons={self.photons}, dim={self.dimension})"
-
-
-def _compositions(total: int, parts: int):
-    """All `parts`-tuples of non-negative ints summing to `total`, lex descending."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def subspace_dimension(modes: int, photons: int) -> int:

@@ -240,15 +240,16 @@ def randomized_blocks(
 ) -> Iterator[np.ndarray]:
     """Yield the blocks p_N |psi_N><psi_N| for N = 0..n_max, one at a time.
 
-    Each block is a fresh array the caller owns and may overwrite; a caller
-    that drops each block before asking for the next never holds the whole
-    matrix.
+    Each block is a fresh array the caller owns and may overwrite.  The
+    generator drops its own reference on resuming, so a caller that drops
+    its reference before asking for the next block holds one block at most.
     """
     for n, weight in enumerate(poisson_weights(state.mean_photons, n_max)):
         vec = _subspace_component(state, n)
         block = np.outer(vec, vec.conj())
         block *= weight  # in place: one block-sized temporary, not two
         yield block
+        del block  # else it stays alive while the next np.outer allocates
 
 
 def phase_randomized_state(
@@ -273,25 +274,15 @@ def subspace_symmetry_unitary(family_tag: str, photons: int) -> np.ndarray:
     if family_tag not in mode_counts:
         raise ValueError(f"unknown coherent family {family_tag!r}")
     basis = fock.enumerate_subspace(mode_counts[family_tag], photons)
-    dim = basis.dimension
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    for col, occ in enumerate(basis.index_list):
-        if family_tag == "two_mode":
-            # sign flip of the second mode
-            j, k = occ
-            u[col, col] = -1.0 if k % 2 else 1.0
-        elif family_tag == "three_mode":
-            # |a,b,c> -> (-1)^b |a,c,b>
-            a, b, c = occ
-            row = basis.index((a, c, b))
-            u[row, col] = -1.0 if b % 2 else 1.0
-        elif family_tag == "four_mode":
-            # cyclic mode shift |a,b,c,d> -> |b,c,d,a>
-            a, b, c, d = occ
-            row = basis.index((b, c, d, a))
-            u[row, col] = 1.0
-        else:  # phase_encoded: i^k phase on the second mode
-            j, k = occ
-            u[col, col] = symmetric._I_POWERS[k % 4]
+    occ = basis.occupation_array
+    rows = cols = np.arange(basis.dimension)
+    values = np.where(occ[:, 1] % 2, -1.0, 1.0)  # two_mode: sign flip of mode 2
+    if family_tag == "three_mode":  # |a,b,c> -> (-1)^b |a,c,b>
+        rows = basis.ranks(occ[:, [0, 2, 1]])
+    elif family_tag == "four_mode":  # cyclic mode shift |a,b,c,d> -> |b,c,d,a>
+        rows, values = basis.ranks(occ[:, [1, 2, 3, 0]]), 1.0
+    elif family_tag == "phase_encoded":  # i^k phase on the second mode
+        values = np.array(symmetric._I_POWERS)[occ[:, 1] % 4]
+    u = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
+    u[rows, cols] = values
     return u
-

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -155,6 +156,14 @@ def suite_gram() -> list[CheckResult]:
 # families
 
 
+@lru_cache(maxsize=None)
+def _block_srm_success(tag: str, alpha: float, tail_tol: float) -> float:
+    """Block-oracle SRM success of a mixed coherent family, once per process."""
+    spec = SymmetricFamilySpec(tag, alpha)
+    weights, blocks = phase_rand.subspace_state_blocks(spec, tail_tol)
+    return oracle.block_srm(blocks, weights)
+
+
 def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
     results = []
 
@@ -188,9 +197,7 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
     worst = 0.0
     for tag in COHERENT_TAGS:
         for alpha in (0.3, 0.7, 1.2):
-            spec = SymmetricFamilySpec(tag, alpha)
-            weights, blocks = phase_rand.subspace_state_blocks(spec, tail_tol)
-            block = oracle.block_srm(blocks, weights)
+            block = _block_srm_success(tag, alpha, tail_tol)
             closed = disc.family_pcorr(tag, "mixed", alpha, tail_tol=tail_tol)
             worst = max(worst, abs(block - closed))
     results.append(_check("families.closed_form_vs_block_srm", worst, 1e-8))
@@ -269,24 +276,28 @@ def _rank1_projector_defect(u: np.ndarray) -> float:
     j = int(np.argmax(u.diagonal().real))
     pivot = float(u[j, j].real)
     w = u[:, j] / math.sqrt(pivot) if pivot > 0.0 else np.zeros(u.shape[0], complex)
-    u -= np.outer(w, w.conj())
+    for rows in range(0, len(w), 64):  # in row chunks: no u-sized temporary
+        u[rows : rows + 64] -= np.outer(w[rows : rows + 64], w.conj())
     return float(np.linalg.norm(u)) + abs(float(np.vdot(w, w).real) - 1.0)
 
 
 def _block_purity_defect(spec: SymmetricFamilySpec) -> float:
     """Worst rank-1 projector defect of every member's renormalized blocks.
 
-    Blocks are streamed from `randomized_blocks` and renormalized in place,
-    so no member's whole density matrix is ever held.
+    Blocks are streamed from `randomized_blocks`, renormalized in place and
+    dropped before the next is built, so one block is held at a time (not
+    via `zip`/`enumerate`: their reused result tuple keeps the last block).
     """
     n_max = phase_rand.truncation_photon_number(spec.mean_photons, 1e-10)
     weights = phase_rand.poisson_weights(spec.mean_photons, n_max)
     worst = 0.0
     for amplitudes in spec.amplitude_vectors():
         state = phase_rand.CoherentStateVector(tuple(amplitudes))
-        for p_n, block in zip(weights, phase_rand.randomized_blocks(state, n_max)):
-            block /= p_n
+        p_n = iter(weights)
+        for block in phase_rand.randomized_blocks(state, n_max):
+            block /= next(p_n)
             worst = max(worst, _rank1_projector_defect(block))
+            del block
     return worst
 
 
@@ -325,7 +336,7 @@ def suite_appendix_a(tail_tol: float = 1e-12) -> list[CheckResult]:
         for alpha in (0.3, 0.7, 1.2):
             spec = SymmetricFamilySpec(tag, alpha)
             weights, blocks = phase_rand.subspace_state_blocks(spec, tail_tol)
-            block = oracle.block_srm(blocks, weights)
+            block = _block_srm_success(tag, alpha, tail_tol)
             _povm, whole = oracle.whole_matrix_srm(blocks, weights)
             worst = max(worst, abs(block - whole))
     results.append(_check("appendix_a.block_vs_whole_srm", worst, 1e-9))

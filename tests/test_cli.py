@@ -4,6 +4,7 @@ import pytest
 
 from qsd import cli
 from qsd import discrimination as disc
+from qsd.fock import CapacityError
 
 
 def run(argv, capsys):
@@ -163,6 +164,20 @@ class TestCurve:
         code, out, err = run(argv + ["--alpha", "0:1:3", "-o", str(path)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failed_request_leaves_output_file_alone(self, existing, tmp_path):
+        # three_mode p_corr at |alpha| = 8 passes the 150-photon cap
+        path = tmp_path / "x.csv"
+        if existing:
+            path.write_text("kept\n")
+        argv = ["curve", "--family", "three_mode", "--metric", "p_corr"]
+        with pytest.raises(CapacityError):
+            cli.main(argv + ["--alpha", "0:8:3", "-o", str(path)])
+        if existing:
+            assert path.read_text() == "kept\n"
+        else:
+            assert not path.exists()
 
     def test_invalid_family_metric_combination(self, capsys):
         code, _out, err = run(

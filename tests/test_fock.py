@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,52 @@ class TestEnumerateSubspace:
             fock.enumerate_subspace(0, 3)
         with pytest.raises(ValueError):
             fock.enumerate_subspace(2, -1)
+
+    def test_matches_recursive_generator(self):
+        # tuples, order and ranks against the recursive lex-descending generator
+        for modes in range(1, 5):
+            for photons in range(0, 13):
+                basis = fock.enumerate_subspace(modes, photons)
+                expected = tuple(recursive_compositions(photons, modes))
+                assert basis.index_list == expected
+                assert basis.dimension == len(expected)
+                for i, occ in enumerate(expected):
+                    assert basis.index(occ) == i
+                ranks = basis.ranks(basis.occupation_array)
+                assert np.array_equal(ranks, np.arange(basis.dimension))
+
+    @pytest.mark.parametrize("occ", [(1, 1), (1, 1, 1, 0), (3, -1, 0), (1, 1, 1)])
+    def test_index_outside_basis(self, occ):
+        with pytest.raises(KeyError):
+            fock.enumerate_subspace(3, 2).index(occ)
+
+    def test_enumeration_memory(self):
+        # four modes, N = 0..30: 46,376 occupation rows, 1.5 MB of int64
+        fock._cached_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            for photons in range(0, 31):
+                fock.enumerate_subspace(4, photons)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
+    def test_cached_arrays_are_read_only(self):
+        with pytest.raises(ValueError):
+            fock.enumerate_subspace(3, 4).occupation_array[0, 0] = 1
+        with pytest.raises(ValueError):
+            fock.log_factorials(10)[3] = 0.0
+
+
+def recursive_compositions(total, parts):
+    """All `parts`-tuples of non-negative ints summing to `total`, lex descending."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 class TestCoherentAmplitude:

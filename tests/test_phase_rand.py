@@ -175,6 +175,25 @@ class TestSymmetryUnitary:
             for k in range(3):
                 assert np.linalg.norm(u @ states[k] - states[k + 1]) < 1e-12
 
+    @pytest.mark.parametrize(
+        "tag,image,sign",
+        [
+            ("three_mode", lambda a, b, c: (a, c, b), lambda a, b, c: (-1) ** b),
+            ("four_mode", lambda a, b, c, d: (b, c, d, a), lambda *occ: 1),
+        ],
+    )
+    def test_permutes_occupations(self, tag, image, sign):
+        # reference: positions looked up in the enumerated tuples, not ranked
+        modes = symmetric.COHERENT_FAMILY_MODES[tag]
+        for photons in range(0, 9):
+            basis = fock.enumerate_subspace(modes, photons)
+            position = {occ: i for i, occ in enumerate(basis.index_list)}
+            expected = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+            for col, occ in enumerate(basis.index_list):
+                expected[position[image(*occ)], col] = sign(*occ)
+            u = phase_rand.subspace_symmetry_unitary(tag, photons)
+            assert np.array_equal(u, expected)
+
     def test_maps_density_blocks(self):
         spec = SymmetricFamilySpec("three_mode", 0.7)
         rho00 = phase_rand.mixed_state_matrix(spec, "00", 8)

@@ -1,14 +1,23 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsd import verify
+from qsd import oracle, verify
 from qsd.symmetric import SymmetricFamilySpec
 
+#: The check ids `qsd verify all` prints, in order, as the benchmark expects.
+REFERENCE_IDS = Path(__file__).resolve().parents[1] / "benchmarks/reference/verify_checks.txt"
 
-def test_all_suites_pass():
-    results = verify.run_suite("all")
+
+@pytest.fixture(scope="module")
+def all_results():
+    return verify.run_suite("all")
+
+
+def test_all_suites_pass(all_results):
+    results = all_results
     failed = [r.check_id for r in results if not r.passed]
     assert not failed, f"failing checks: {failed}"
     # every suite contributed at least one check
@@ -61,10 +70,26 @@ class TestRank1ProjectorDefect:
         assert verify._rank1_projector_defect(np.zeros((3, 3), complex)) > 1e-3
 
 
+def test_full_suite_matches_reference_ids(all_results):
+    assert [r.check_id for r in all_results] == REFERENCE_IDS.read_text().split()
+    assert len(all_results) == 39 and all(r.passed for r in all_results)
+
+
+def test_block_srm_oracle_runs_once_per_input(monkeypatch):
+    # families and appendix_a share the 12 (family, |alpha|) block-SRM values
+    calls = []
+    real = oracle.block_srm
+    monkeypatch.setattr(oracle, "block_srm", lambda *a: calls.append(1) or real(*a))
+    verify._block_srm_success.cache_clear()
+    verify.suite_families()
+    verify.suite_appendix_a()
+    assert len(calls) == 12
+
+
 def test_block_purity_holds_one_block_at_a_time():
     # four_mode at |alpha| = 0.7 runs to N = 16: the largest block is 969 x 969
-    # complex (15 MB) and all blocks of one member take 44 MB.  Streaming needs
-    # the block plus one block-sized temporary; 45 MB allows 3 blocks.
+    # complex (15 MB) and all blocks of one member take 44 MB.  Streaming holds
+    # that one block and row-sized scratch; 20 MB leaves no room for a second.
     spec = SymmetricFamilySpec("four_mode", 0.7)
     tracemalloc.start()
     try:
@@ -73,4 +98,4 @@ def test_block_purity_holds_one_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert defect < 1e-10
-    assert peak < 45e6
+    assert peak < 20e6
