@@ -147,8 +147,15 @@ def three_mode_mixed_pcorr(
 
 
 def _signed_third_power(n: int) -> float:
-    """(-3)^-N via parity sign and 1/3^N; 1 + 3*(-1/3) cancels to exactly 0."""
-    magnitude = 1.0 / 3.0**n
+    """(-3)^-N via parity sign and 1/3^N; 1 + 3*(-1/3) cancels to exactly 0.
+
+    3^N overflows from N = 647 on; there 3^-N is the (sub)normal or zero
+    magnitude it underflows to.
+    """
+    try:
+        magnitude = 1.0 / 3.0**n
+    except OverflowError:
+        magnitude = 3.0**-n
     return -magnitude if n % 2 else magnitude
 
 
@@ -375,8 +382,8 @@ def subspace_overlaps(family, photons: int) -> np.ndarray:
     if tag == "two_mode":
         return np.array([1.0, 0.0], dtype=np.complex128)
     if tag == "three_mode":
-        f = 1.0 / 3.0**n
-        return np.array([1.0, f, _signed_third_power(n), f], dtype=np.complex128)
+        g = _signed_third_power(n)
+        return np.array([1.0, abs(g), g, abs(g)], dtype=np.complex128)
     if tag == "four_mode":
         return np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
     mag = math.sqrt(math.ldexp(1.0, -n))  # 2^(-N/2)

@@ -2,9 +2,9 @@
 
 Provides enumeration of fixed-total-photon-number subspaces, coherent-state
 amplitudes in the number basis, and dense complex-Hermitian linear algebra
-(a cyclic Jacobi eigensolver and spectral matrix functions).  Everything here
-is a pure function of immutable inputs, so results are safe to share across
-threads and to cache.
+(a round-robin Jacobi eigensolver and spectral matrix functions).  Everything
+here is a pure function of immutable inputs, so results are safe to share
+across threads and to cache.
 """
 
 from __future__ import annotations
@@ -229,6 +229,8 @@ def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOLERANCE) -> np.nda
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     m = m.astype(np.complex128, copy=False)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
     defect = hermiticity_defect(m)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.1e}")
@@ -243,10 +245,15 @@ def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOLERANCE) -> np.nda
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
+    """Eigenvalues (descending) and matching orthonormal eigenvector columns.
+
+    `sweeps` counts the Jacobi sweeps that produced them (0 when the matrix
+    was already diagonal).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    sweeps: int = 0
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -256,15 +263,22 @@ class SpectralDecomposition:
 def hermitian_eig(m: np.ndarray, sweep_cap: int = 100) -> SpectralDecomposition:
     """Full spectral decomposition of a complex Hermitian matrix.
 
-    Cyclic Jacobi iteration with 2x2 unitary rotations; sweeps continue until
-    the off-diagonal Frobenius norm drops below OFF_DIAGONAL_TOLERANCE times
-    the initial Frobenius norm of the matrix.  Adequate for the dense sizes
-    used here (up to a few hundred); raises ConvergenceError (carrying the
-    residual) if `sweep_cap` sweeps do not suffice.
+    Jacobi iteration with 2x2 unitary rotations in the Brent-Luk round-robin
+    order, run on the connected components of the exact nonzero pattern of
+    the matrix: each round applies one disjoint rotation per index pair of
+    every component at once, so a sweep takes n - 1 vectorised rounds, n the
+    largest component size rounded up to even.  A rotation inside one component leaves every other
+    component's entries exactly zero, so the components need no tolerance
+    and pairs across them are never visited.  Pairs whose entry is at most
+    target / d are skipped; sweeps continue until the off-diagonal Frobenius
+    norm drops below target = OFF_DIAGONAL_TOLERANCE times the initial
+    Frobenius norm.  Raises ConvergenceError (carrying the residual) if
+    `sweep_cap` sweeps do not suffice.
     """
-    a = check_hermitian(m).copy()
-    d = a.shape[0]
-    v = np.eye(d, dtype=np.complex128)
+    # a stacked on v: one column update rotates both
+    av = np.vstack([check_hermitian(m), np.eye(len(m), dtype=np.complex128)])
+    d = av.shape[1]
+    a, v = av[:d], av[d:]
     if d == 0:
         return SpectralDecomposition(np.zeros(0), v)
     norm0 = float(np.linalg.norm(a))
@@ -272,21 +286,26 @@ def hermitian_eig(m: np.ndarray, sweep_cap: int = 100) -> SpectralDecomposition:
         return _sorted_decomposition(np.real(np.diag(a)), v)
     target = OFF_DIAGONAL_TOLERANCE * norm0
     skip = target / d
+    rounds = _merged_rounds(_components(a))
 
-    for _ in range(sweep_cap):
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                if abs(a[p, q]) > skip:
-                    _jacobi_rotate(a, v, p, q)
-        off = _off_diagonal_norm(a)
-        if off < target:
-            eigenvalues = np.real(np.diag(a))
-            return _sorted_decomposition(eigenvalues, v)
-    raise ConvergenceError(
-        f"Jacobi did not converge in {sweep_cap} sweeps "
-        f"(off-diagonal residual {_off_diagonal_norm(a):.3e}, target {target:.3e})",
-        residual=_off_diagonal_norm(a),
-    )
+    sweeps = 0
+    while (off := _off_diagonal_norm(a)) >= target:
+        if sweeps >= sweep_cap:
+            raise ConvergenceError(
+                f"Jacobi did not converge in {sweep_cap} sweeps "
+                f"(off-diagonal residual {off:.3e}, target {target:.3e})",
+                residual=off,
+            )
+        for p, q in rounds:
+            apq = a[p, q]
+            mag = np.abs(apq)
+            active = mag > skip
+            if not active.all():
+                p, q, apq, mag = p[active], q[active], apq[active], mag[active]
+            if p.size:
+                _rotate(av, p, q, apq, mag)
+        sweeps += 1
+    return _sorted_decomposition(np.real(np.diag(a)), v, sweeps)
 
 
 def _off_diagonal_norm(a: np.ndarray) -> float:
@@ -294,44 +313,100 @@ def _off_diagonal_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p, q] with a 2x2 unitary similarity, updating a and v in place."""
-    apq = a[p, q]
-    mag = abs(apq)
-    if mag == 0.0:
-        return
+def _components(a: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of a's exact nonzero pattern.
+
+    Each index takes the smallest label among itself and its neighbours,
+    then the label of that label, until nothing changes: labels only fall
+    and stay inside the component, so each ends at the component's minimum.
+    """
+    d = len(a)
+    nonzero = a != 0
+    np.fill_diagonal(nonzero, True)
+    labels = np.arange(d)
+    while True:
+        lowest = np.where(nonzero, labels, d).min(axis=1)
+        lowest = lowest[lowest]
+        if (lowest == labels).all():
+            break
+        labels = lowest
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+@lru_cache(maxsize=None)
+def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Brent-Luk schedule of n indices as flat (round, p, q) arrays, p < q.
+
+    Circle method on n rounded up to even m: index 0 stays put, the others
+    move one place per round, and place i meets place m - 1 - i.  In m - 1
+    rounds every pair meets exactly once; pairs with the padding index of
+    an odd n are dropped.
+    """
+    m = n + n % 2
+    turn = np.arange(m - 1)[:, None]
+    ring = np.zeros((m - 1, m), dtype=np.int64)
+    ring[:, 1:] = 1 + (turn + np.arange(m - 1)) % (m - 1)
+    left, right = ring[:, : m // 2], ring[:, : m // 2 - 1 : -1]
+    p, q = np.minimum(left, right), np.maximum(left, right)
+    real = q < n
+    out = (np.broadcast_to(turn, p.shape)[real], p[real], q[real])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _merged_rounds(
+    components: list[np.ndarray],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Round r of a sweep: round r of every component's schedule at once."""
+    parts = [(_round_robin(len(c)), c) for c in components if len(c) > 1]
+    if not parts:
+        return []
+    rnd = np.concatenate([r for (r, _p, _q), _c in parts])
+    p = np.concatenate([c[lp] for (_r, lp, _q), c in parts])
+    q = np.concatenate([c[lq] for (_r, _p, lq), c in parts])
+    order = np.argsort(rnd, kind="stable")
+    p, q = p[order], q[order]
+    ends = np.cumsum(np.bincount(rnd)).tolist()
+    return [(p[i:j], q[i:j]) for i, j in zip([0] + ends, ends)]
+
+
+def _rotate(
+    av: np.ndarray, p: np.ndarray, q: np.ndarray, apq: np.ndarray, mag: np.ndarray
+) -> None:
+    """Zero every a[p, q] by disjoint 2x2 unitary similarities, in place.
+
+    `av` is a stacked on v; the pairs (p, q) share no index.
+    """
     # Rotation U = [[c, s], [-conj(s), c]] with s = t*c*e^{i phi}; t solves
     # t^2 + 2*theta*t - 1 = 0 (smaller root for stability).
-    phi = math.atan2(apq.imag, apq.real)
-    theta = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-    c = 1.0 / math.hypot(t, 1.0)
-    s = t * c * complex(math.cos(phi), math.sin(phi))
+    a = av[: av.shape[1]]
+    k = len(p)
+    phi = np.arctan2(apq.imag, apq.real)
+    theta = (a[q, q] - a[p, p]).real / (2.0 * mag)
+    t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+    c = 1.0 / np.hypot(t, 1.0)
+    s = t * c * np.exp(1j * phi)
+    sc = s.conj()
 
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - np.conj(s) * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = np.conj(s) * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - np.conj(s) * vq
-    v[:, q] = s * vp + c * vq
+    pq, qp = np.concatenate([p, q]), np.concatenate([q, p])
+    cols = av[:, pq]
+    col_p, col_q = cols[:, :k], cols[:, k:]
+    av[:, pq] = np.concatenate([c * col_p - sc * col_q, s * col_p + c * col_q], axis=1)
+    rows = a[pq]
+    row_p, row_q = rows[:k], rows[k:]
+    c, s, sc = c[:, None], s[:, None], sc[:, None]
+    a[pq] = np.concatenate([c * row_p - s * row_q, sc * row_p + c * row_q])
+    a[pq, qp] = 0.0
+    a[pq, pq] = a[pq, pq].real
 
 
 def _sorted_decomposition(
-    eigenvalues: np.ndarray, vectors: np.ndarray
+    eigenvalues: np.ndarray, vectors: np.ndarray, sweeps: int = 0
 ) -> SpectralDecomposition:
     order = np.argsort(-eigenvalues, kind="stable")
-    return SpectralDecomposition(eigenvalues[order], vectors[:, order])
+    return SpectralDecomposition(eigenvalues[order], vectors[:, order], sweeps)
 
 
 # ---------------------------------------------------------------------------

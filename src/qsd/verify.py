@@ -276,9 +276,12 @@ def _rank1_projector_defect(u: np.ndarray) -> float:
     j = int(np.argmax(u.diagonal().real))
     pivot = float(u[j, j].real)
     w = u[:, j] / math.sqrt(pivot) if pivot > 0.0 else np.zeros(u.shape[0], complex)
+    squared = 0.0
     for rows in range(0, len(w), 64):  # in row chunks: no u-sized temporary
-        u[rows : rows + 64] -= np.outer(w[rows : rows + 64], w.conj())
-    return float(np.linalg.norm(u)) + abs(float(np.vdot(w, w).real) - 1.0)
+        chunk = u[rows : rows + 64]
+        chunk -= np.outer(w[rows : rows + 64], w.conj())
+        squared += float(np.vdot(chunk, chunk).real)  # while still in cache
+    return math.sqrt(squared) + abs(float(np.vdot(w, w).real) - 1.0)
 
 
 def _block_purity_defect(spec: SymmetricFamilySpec) -> float:

@@ -109,6 +109,24 @@ class TestThreeMode:
         success = oracle.srm_success_pure(vectors)
         assert disc.three_mode_pure_pcorr(1.0) == pytest.approx(success, abs=1e-8)
 
+    def test_third_power_below_overflow_is_unchanged(self):
+        # 3^646 is the last power of three below the largest float
+        f = 1.0 / 3.0**646
+        assert disc._signed_third_power(646) == f
+        assert disc._signed_third_power(645) == -1.0 / 3.0**645
+        np.testing.assert_array_equal(
+            disc.subspace_overlaps("three_mode", 646), [1.0, f, f, f]
+        )
+
+    @pytest.mark.parametrize("n", [647, 700, 10_000])
+    def test_past_third_power_overflow(self, n):
+        g = disc._signed_third_power(n)
+        assert abs(g) < 1e-308 and (g <= 0.0 if n % 2 else g >= 0.0)
+        row = disc.subspace_overlaps("three_mode", n)
+        assert np.isfinite(row).all() and row[0] == 1.0
+        for term in (disc._pcorr_subspace_term, disc._p1bit_subspace_term):
+            assert term("three_mode", n) == 1.0
+
 
 class TestFourMode:
     def test_vacuum_limits(self):

@@ -1,11 +1,13 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from qsd import fock
+from qsd import fock, phase_rand
+from qsd.symmetric import SymmetricFamilySpec
 
 
 def brute_force_tuples(modes, photons):
@@ -251,6 +253,147 @@ class TestHermitianEig:
         with pytest.raises(fock.ConvergenceError) as excinfo:
             fock.hermitian_eig(m, sweep_cap=0)
         assert excinfo.value.residual > 0.0
+
+    @pytest.mark.parametrize(
+        "m",
+        [np.diag([1.0, np.nan, 2.0]), np.array([[1.0, np.inf], [np.inf, 1.0]])],
+        ids=["nan_diagonal", "inf_off_diagonal"],
+    )
+    def test_rejects_non_finite(self, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                fock.hermitian_eig(m)
+            with pytest.raises(ValueError, match="non-finite"):
+                fock.check_hermitian(m)
+
+    def test_sweep_count(self):
+        assert fock.hermitian_eig(np.diag([3.0, 1.0, 2.0])).sweeps == 0
+        assert fock.hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]])).sweeps == 1
+
+    def test_sweep_count_appendix_b_difference_operator(self):
+        # the 136-dim two_mode mixed states at |alpha| = 0.8 are a direct sum
+        # of 16 photon-number blocks; three sweeps take 0.31 to below 3.5e-13
+        spec = SymmetricFamilySpec("two_mode", 0.8)
+        n_max = phase_rand.truncation_photon_number(spec.mean_photons, 1e-12)
+        rho0, rho1 = (
+            phase_rand.mixed_state_matrix(spec, label, n_max).to_dense()
+            for label in spec.labels
+        )
+        difference = 0.3 * rho0 - 0.7 * rho1
+        assert difference.shape == (136, 136)
+        assert fock.hermitian_eig(difference).sweeps <= 3
+
+
+def random_hermitian(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return m + m.conj().T
+
+
+def permuted_block_matrix(seed=7):
+    """Hermitian direct sum in a random index order, with its index sets.
+
+    Blocks of sizes 1, 2, 5 and 16 (the last one a path: tridiagonal), plus
+    a dense 3-block scaled by 1e-20.
+    """
+    rng = np.random.default_rng(seed)
+    path = np.diag(rng.normal(size=16)).astype(complex)
+    steps = rng.normal(size=15) + 1j * rng.normal(size=15)
+    path[np.arange(15), np.arange(1, 16)] = steps
+    path[np.arange(1, 16), np.arange(15)] = steps.conj()
+    blocks = [random_hermitian(rng, n) for n in (1, 2, 5)]
+    blocks += [path, 1e-20 * random_hermitian(rng, 3)]
+    dim = sum(len(b) for b in blocks)
+    perm = rng.permutation(dim)
+    m = np.zeros((dim, dim), dtype=complex)
+    components, start = [], 0
+    for b in blocks:
+        idx = perm[start : start + len(b)]
+        m[np.ix_(idx, idx)] = b
+        components.append(np.sort(idx))
+        start += len(b)
+    return m, components
+
+
+def reference_components(m):
+    """Breadth-first search over the exact nonzero pattern."""
+    unseen, out = set(range(len(m))), []
+    while unseen:
+        frontier = [min(unseen)]
+        found = set(frontier)
+        while frontier:
+            frontier = [j for i in frontier for j in np.flatnonzero(m[i]) if j not in found]
+            found.update(frontier)
+        unseen -= found
+        out.append(sorted(found))
+    return out
+
+
+class TestBlockStructuredEig:
+    def test_eigenvalues_match_lapack(self):
+        m, _components = permuted_block_matrix()
+        dec = fock.hermitian_eig(m)
+        expected = np.linalg.eigvalsh(m)[::-1]
+        assert np.max(np.abs(dec.eigenvalues - expected)) < 1e-12 * np.linalg.norm(m)
+
+    def test_reconstruction_and_orthonormality(self):
+        m, _components = permuted_block_matrix()
+        dec = fock.hermitian_eig(m)
+        v = dec.eigenvectors
+        assert np.linalg.norm(dec.reconstruct() - m) < 1e-10
+        assert np.linalg.norm(v.conj().T @ v - np.eye(len(m))) < 1e-10
+
+    def test_eigenvectors_stay_in_their_component(self):
+        m, components = permuted_block_matrix()
+        owner = np.empty(len(m), dtype=int)
+        for k, idx in enumerate(components):
+            owner[idx] = k
+        v = fock.hermitian_eig(m).eigenvectors
+        for column in v.T:
+            support = np.flatnonzero(column)
+            assert len(set(owner[support])) == 1
+
+    def test_components_of_exact_pattern(self):
+        m, components = permuted_block_matrix()
+        found = [c.tolist() for c in fock._components(m)]
+        assert sorted(found) == sorted(c.tolist() for c in components)
+        # a path numbered 1-2-3-0: index 2 and index 3 reach 0 only via 1
+        path = np.eye(4)
+        for i, j in ((1, 2), (2, 3), (3, 0)):
+            path[i, j] = path[j, i] = 1.0
+        assert [c.tolist() for c in fock._components(path)] == [[0, 1, 2, 3]]
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            pattern = np.triu(rng.random((12, 12)) < 0.12, 1)
+            pattern = (pattern | pattern.T).astype(float)
+            found = [c.tolist() for c in fock._components(pattern)]
+            assert found == reference_components(pattern)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 33])
+    def test_round_robin_meets_every_pair_once(self, n):
+        rnd, p, q = fock._round_robin(n)
+        assert np.all(p < q) and len(p) == n * (n - 1) // 2
+        assert len(set(zip(p.tolist(), q.tolist()))) == len(p)
+        for r in range(n - 1 + n % 2):
+            used = np.concatenate([p[rnd == r], q[rnd == r]])
+            assert len(used) == len(set(used.tolist())) >= n - 1
+
+    def test_odd_dense_matrix(self):
+        m = random_hermitian(np.random.default_rng(33), 33)
+        dec = fock.hermitian_eig(m)
+        expected = np.linalg.eigvalsh(m)[::-1]
+        assert np.max(np.abs(dec.eigenvalues - expected)) < 1e-12 * np.linalg.norm(m)
+        assert np.linalg.norm(dec.reconstruct() - m) < 1e-10
+        v = dec.eigenvectors
+        assert np.linalg.norm(v.conj().T @ v - np.eye(33)) < 1e-10
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_sweep_cap_reports_residual(self, cap):
+        dense = random_hermitian(np.random.default_rng(1), 33)
+        for m in (permuted_block_matrix()[0], dense):
+            with pytest.raises(fock.ConvergenceError) as excinfo:
+                fock.hermitian_eig(m, sweep_cap=cap)
+            assert excinfo.value.residual > 0.0
 
 
 class TestMatrixFunction:

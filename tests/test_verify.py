@@ -69,6 +69,17 @@ class TestRank1ProjectorDefect:
     def test_zero_matrix_fails_without_raising(self):
         assert verify._rank1_projector_defect(np.zeros((3, 3), complex)) > 1e-3
 
+    @pytest.mark.parametrize("dim", [3, 64, 65, 200])
+    def test_chunked_norm_matches_whole_difference(self, dim):
+        rng = np.random.default_rng(dim)
+        x = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+        u = x @ x.conj().T
+        j = int(np.argmax(u.diagonal().real))
+        w = u[:, j] / np.sqrt(u[j, j].real)
+        expected = np.linalg.norm(u - np.outer(w, w.conj()))
+        expected += abs(np.vdot(w, w).real - 1.0)
+        assert verify._rank1_projector_defect(u) == pytest.approx(expected, rel=1e-12)
+
 
 def test_full_suite_matches_reference_ids(all_results):
     assert [r.check_id for r in all_results] == REFERENCE_IDS.read_text().split()
