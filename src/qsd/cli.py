@@ -20,7 +20,7 @@ import numpy as np
 
 from . import discrimination as disc
 from . import optics, verify
-from .phase_rand import default_tail_tol
+from .phase_rand import check_tail_tol, default_tail_tol
 from .symmetric import SymmetricFamilySpec
 
 class UsageError(Exception):
@@ -28,11 +28,11 @@ class UsageError(Exception):
 
 
 CURVE_METRICS = {
-    "p_corr": ("two_mode", "three_mode", "four_mode", "phase_encoded"),
+    "p_corr": disc.COHERENT_FAMILIES,
     "p_unambiguous": ("four_mode",),
     "p_1bit": disc.FOUR_STATE_FAMILIES,
     "b_ot": disc.FOUR_STATE_FAMILIES,
-    "delta_p_corr": ("two_mode", "three_mode", "four_mode", "phase_encoded"),
+    "delta_p_corr": disc.COHERENT_FAMILIES,
 }
 
 
@@ -146,15 +146,13 @@ def _curve_request(args: argparse.Namespace) -> CurveRequest:
 
 
 def _tail_tol(flag: float | None) -> float:
-    """--tail-tol if given, else QSD_TAIL_TOL, else the default; in (0, 1)."""
-    if flag is None:
-        try:
+    """--tail-tol if given, else QSD_TAIL_TOL, else the default."""
+    try:
+        if flag is None:
             return default_tail_tol()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    if not 0.0 < flag < 1.0:  # also rejects nan and inf
-        raise UsageError(f"--tail-tol {flag} is not a number in (0, 1)")
-    return flag
+        return check_tail_tol(flag, f"--tail-tol {flag}")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:

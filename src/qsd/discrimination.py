@@ -27,8 +27,6 @@ COHERENT_FAMILIES = ("two_mode",) + FOUR_STATE_FAMILIES
 
 VARIANTS = ("pure", "mixed")
 
-METRICS = ("p_corr", "p_1bit", "b_ot", "p_unambiguous", "delta_p_corr")
-
 
 class InvalidOverlapError(ValueError):
     """Overlap parameters produced a radicand too negative to clip."""
@@ -66,9 +64,9 @@ def _normalized_prior(p: float) -> float:
     return min(p, 1.0 - p)
 
 
-def _clip_radicand(x: float, tol: float = 1e-12) -> float:
-    if x < -tol:
-        raise InvalidOverlapError(f"radicand {x:.3e} below -{tol:.1e}")
+def _clip_radicand(x: float) -> float:
+    if x < -1e-12:
+        raise InvalidOverlapError(f"radicand {x:.3e} below -1e-12")
     return max(x, 0.0)
 
 
@@ -302,21 +300,15 @@ def delta_pcorr(
     )
 
 
-def delta_pcorr_max(
-    family,
-    alpha_max: float = 3.0,
-    step: float = 0.005,
-    tail_tol: float | None = None,
-) -> tuple[float, float]:
-    """Grid-scan maximum of delta_pcorr on [0, alpha_max].
+def delta_pcorr_max(family, tail_tol: float | None = None) -> tuple[float, float]:
+    """Grid-scan maximum of delta_pcorr on [0, 3] at step 0.005.
 
     The curves are smooth and unimodal at plot resolution, so a fixed-step
     scan suffices; returns (alpha_at_max, max_value).
     """
     best_alpha, best = 0.0, 0.0
-    steps = int(round(alpha_max / step))
-    for i in range(steps + 1):
-        a = i * step
+    for i in range(601):
+        a = i * 0.005
         d = delta_pcorr(family, a, tail_tol=tail_tol)
         if d > best:
             best_alpha, best = a, d
@@ -343,7 +335,11 @@ def p1bit_from_overlaps(f_overlap: complex, g_overlap: float) -> float:
     g = float(g_overlap)
     if abs(f) > 1.0 + 1e-12 or abs(g) > 1.0 + 1e-12:
         raise InvalidOverlapError(f"overlaps |F|={abs(f)}, |G|={g} exceed 1")
-    re2, im2 = f.real**2, f.imag**2
+    return _p1bit_from_squares(f.real**2, f.imag**2, g)
+
+
+def _p1bit_from_squares(re2: float, im2: float, g: float) -> float:
+    """`p1bit_from_overlaps` in terms of (Re F)^2, (Im F)^2 and G."""
     r = (1.0 + g) ** 2 * im2 + (1.0 - g) ** 2 * re2 - 4.0 * re2 * im2
     root = math.sqrt(_clip_radicand(r))
     plus = math.sqrt(_clip_radicand(1.0 - g**2 + 2.0 * root))
@@ -411,11 +407,7 @@ def _p1bit_subspace_term(tag: str, n: int) -> float:
     # phase_encoded: G_N = 0 and |F_N|^2 = 2^-N with exact quarter-turn parts
     re2 = math.ldexp(_cos2_quarter(n), -n)
     im2 = math.ldexp(_sin2_quarter(n), -n)
-    r = re2 + im2 - 4.0 * re2 * im2
-    root = math.sqrt(_clip_radicand(r))
-    plus = math.sqrt(_clip_radicand(1.0 + 2.0 * root))
-    minus = math.sqrt(_clip_radicand(1.0 - 2.0 * root))
-    return 0.5 * (1.0 + 0.5 * plus + 0.5 * minus)
+    return _p1bit_from_squares(re2, im2, 0.0)
 
 
 def family_p1bit(
@@ -465,8 +457,6 @@ class CrossoverReport:
     """
 
     intervals: tuple[tuple[float, float], ...]
-    alpha_max: float
-    grid_points: int
 
     @property
     def lower_bound(self) -> float | None:
@@ -484,12 +474,7 @@ def _invert_monotone(fn, target: float, lo: float, hi: float, iterations: int = 
     return 0.5 * (lo + hi)
 
 
-def phase_encoded_ot_crossover(
-    alpha_max: float = 4.0,
-    grid_points: int = 801,
-    tail_tol: float | None = None,
-    min_advantage: float = 1e-9,
-) -> CrossoverReport:
+def phase_encoded_ot_crossover(tail_tol: float | None = None) -> CrossoverReport:
     """Compare mixed and pure cheating probabilities at equal p_1bit.
 
     Both (p_1bit, b_ot) curves are parametric in |alpha| and monotone in it.
@@ -498,8 +483,10 @@ def phase_encoded_ot_crossover(
     exact bisection inversion of both p_1bit curves at its deepest point
     (interpolation noise near p_1bit = 1/2, where the curves launch from a
     common point, cannot survive that check), and the confirmed interval
-    endpoints are refined the same way.
+    endpoints are refined the same way.  The scan takes 801 points of
+    |alpha| in [0, 4]; a candidate needs an exact advantage of 1e-9.
     """
+    alpha_max, grid_points = 4.0, 801
     pure_p_of = lambda a: family_p1bit("phase_encoded", "pure", a, tail_tol)
     mixed_p_of = lambda a: family_p1bit("phase_encoded", "mixed", a, tail_tol)
 
@@ -536,7 +523,7 @@ def phase_encoded_ot_crossover(
     intervals: list[tuple[float, float]] = []
     for i0, i1 in candidates:
         peak = i0 + int(np.argmax(advantage[i0 : i1 + 1]))
-        if exact_advantage(float(grid[peak])) < min_advantage:
+        if exact_advantage(float(grid[peak])) < 1e-9:
             continue
         lower = float(grid[i0])
         if i0 > 0:
@@ -553,4 +540,4 @@ def phase_encoded_ot_crossover(
                 40,
             )
         intervals.append((lower, upper))
-    return CrossoverReport(tuple(intervals), alpha_max, grid_points)
+    return CrossoverReport(tuple(intervals))

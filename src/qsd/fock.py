@@ -223,7 +223,7 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOLERANCE) -> np.ndarray:
+def check_hermitian(m: np.ndarray) -> np.ndarray:
     """Validate a dense Hermitian matrix and return it as complex ndarray."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -232,9 +232,9 @@ def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOLERANCE) -> np.nda
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.1e}")
-    if abs(np.trace(m).imag) > tol:
+    if defect > HERMITICITY_TOLERANCE:
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
+    if abs(np.trace(m).imag) > HERMITICITY_TOLERANCE:
         raise ValueError(f"trace has imaginary part {np.trace(m).imag:.3e}")
     return m
 
@@ -436,24 +436,18 @@ def psd_spectrum(
     return lam, dec.eigenvectors, on_support
 
 
-def matrix_function(
-    m: np.ndarray,
-    f: Callable[[float], float],
-    support_cutoff: float | None = None,
-) -> np.ndarray:
+def matrix_function(m: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
     """Apply a scalar function to a PSD matrix on its support.
 
     Eigenvalues on the support of `psd_spectrum` map through `f`, all others
     to zero (pseudo-function).
     """
-    lam, v, on_support = psd_spectrum(m, support_cutoff)
+    lam, v, on_support = psd_spectrum(m)
     mapped = np.array([f(x) if s else 0.0 for x, s in zip(lam, on_support)])
     out = (v * mapped) @ v.conj().T
     return 0.5 * (out + out.conj().T)
 
 
-def support_projector(
-    m: np.ndarray, support_cutoff: float | None = None
-) -> np.ndarray:
+def support_projector(m: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the support of a PSD matrix."""
-    return matrix_function(m, lambda _x: 1.0, support_cutoff=support_cutoff)
+    return matrix_function(m, lambda _x: 1.0)

@@ -2,11 +2,10 @@
 
 Coherent amplitudes transform linearly through passive elements, so a whole
 circuit is just a sequence of 2x2 balanced beam-splitter maps
-(a, b) -> ((a+b)/sqrt(2), (a-b)/sqrt(2)) and single-mode phase multipliers
-acting on the amplitude vector.  Threshold detectors on the outputs click
-with probability 1 - exp(-|beta|^2); a uniform random global phase on the
-input drops out of every |beta|, so phase randomization leaves all click
-statistics unchanged.
+(a, b) -> ((a+b)/sqrt(2), (a-b)/sqrt(2)) acting on the amplitude vector.
+Threshold detectors on the outputs click with probability 1 - exp(-|beta|^2);
+a uniform random global phase on the input drops out of every |beta|, so
+phase randomization leaves all click statistics unchanged.
 """
 
 from __future__ import annotations
@@ -34,14 +33,6 @@ class BeamSplitter:
 
 
 @dataclass(frozen=True)
-class PhaseShift:
-    """Single-mode phase factor exp(i phase)."""
-
-    mode: int
-    phase: float
-
-
-@dataclass(frozen=True)
 class LinearCircuit:
     """Ordered passive elements plus labelled threshold detectors.
 
@@ -50,18 +41,13 @@ class LinearCircuit:
     """
 
     modes: int
-    elements: tuple[BeamSplitter | PhaseShift, ...]
+    elements: tuple[BeamSplitter, ...]
     detectors: tuple[tuple[str, int], ...]
     identify: Mapping[str, str]
 
     def __post_init__(self) -> None:
         for element in self.elements:
-            ms = (
-                (element.mode_a, element.mode_b)
-                if isinstance(element, BeamSplitter)
-                else (element.mode,)
-            )
-            for m in ms:
+            for m in (element.mode_a, element.mode_b):
                 if not 0 <= m < self.modes:
                     raise ValueError(f"element mode {m} out of range")
         seen = set()
@@ -95,12 +81,9 @@ def apply_circuit(circuit: LinearCircuit, amplitudes: Sequence[complex]) -> np.n
     if out.shape != (circuit.modes,):
         raise ValueError(f"expected {circuit.modes} amplitudes, got {out.shape}")
     for element in circuit.elements:
-        if isinstance(element, BeamSplitter):
-            a, b = out[element.mode_a], out[element.mode_b]
-            out[element.mode_a] = (a + b) / _SQRT2
-            out[element.mode_b] = (a - b) / _SQRT2
-        else:
-            out[element.mode] *= complex(math.cos(element.phase), math.sin(element.phase))
+        a, b = out[element.mode_a], out[element.mode_b]
+        out[element.mode_a] = (a + b) / _SQRT2
+        out[element.mode_b] = (a - b) / _SQRT2
     return out
 
 

@@ -179,20 +179,16 @@ def span_orthonormal_basis(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def srm_success_pure(
-    vectors: Sequence[np.ndarray], priors: Sequence[float] | None = None
-) -> float:
-    """SRM success for pure states, computed inside their span.
+def srm_success_pure(vectors: Sequence[np.ndarray]) -> float:
+    """SRM success for equiprobable pure states, computed inside their span.
 
     The SRM operators live on the support of the average state, which for
     pure inputs is exactly the span, so reducing to an orthonormal basis of
     it is lossless and keeps the dense work at most L x L.
     """
-    if priors is None:
-        priors = [1.0 / len(vectors)] * len(vectors)
     basis = span_orthonormal_basis(vectors)
     reduced = [basis.conj().T @ np.asarray(v, dtype=np.complex128) for v in vectors]
-    _povm, success = srm(reduced, priors)
+    _povm, success = srm(reduced, [1.0 / len(vectors)] * len(vectors))
     return success
 
 
@@ -209,7 +205,7 @@ def block_srm(
     if len(blocks) != len(weights):
         raise ValueError("one weight per block required")
     weights = np.asarray(weights, dtype=float)
-    if weights.min() < 0.0 or weights.sum() > 1.0 + 1e-12:
+    if not weights.min() >= 0.0 or weights.sum() > 1.0 + 1e-12:  # also rejects nan
         raise ValueError("weights must be a (truncated) probability sequence")
     return float(sum(w * srm_success_pure(block) for block, w in zip(blocks, weights)))
 
@@ -241,24 +237,17 @@ def whole_matrix_srm(
         raise ValueError("one weight per block required")
     n_states = len(blocks[0])
     coords: list[list[np.ndarray]] = [[] for _ in range(n_states)]
-    sizes = []
     for block in blocks:
         if len(block) != n_states:
             raise ValueError("all blocks must hold the same number of states")
         basis = span_orthonormal_basis(block)
-        sizes.append(basis.shape[1])
         for i, vec in enumerate(block):
             coords[i].append(basis.conj().T @ np.asarray(vec, dtype=np.complex128))
-    dim = int(np.sum(sizes))
     rhos = []
-    for i in range(n_states):
-        rho = np.zeros((dim, dim), dtype=np.complex128)
-        offset = 0
-        for size, weight, c in zip(sizes, weights, coords[i]):
-            rho[offset : offset + size, offset : offset + size] = weight * np.outer(
-                c, c.conj()
-            )
-            offset += size
+    for member in coords:
+        rho = phase_rand.BlockDiagonalMatrix(
+            tuple(w * np.outer(c, c.conj()) for w, c in zip(weights, member))
+        ).to_dense()
         rhos.append(rho / np.trace(rho).real)
     priors = [1.0 / n_states] * n_states
     return srm(rhos, priors, support_cutoff=support_cutoff)
@@ -285,7 +274,6 @@ class AppendixBReport:
     srm_success: float
     off_vacuum_distance: float
     vacuum_split: tuple[float, float]
-    mixed_closed_form: float
 
     @property
     def success_gap(self) -> float:
@@ -299,9 +287,9 @@ def verify_appendix_b(
 
     The states are produced by the generic phase-randomization path from the
     amplitude vectors (sqrt(2) alpha, 0) and (0, sqrt(2) alpha).  Reported:
-    both success probabilities, the closed form 1 - min(p0,p1) e^{-2|alpha|^2},
-    the Frobenius distance between the POVMs away from the vacuum projector
-    (restricted to the SRM support), and the SRM's vacuum weights.
+    both success probabilities, the Frobenius distance between the POVMs away
+    from the vacuum projector (restricted to the SRM support), and the SRM's
+    vacuum weights.
     """
     if tail_tol is None:
         tail_tol = default_tail_tol()
@@ -328,7 +316,6 @@ def verify_appendix_b(
         float(srm_povm.elements[0][vac, vac].real),
         float(srm_povm.elements[1][vac, vac].real),
     )
-    closed = 1.0 - min(p0, 1.0 - p0) * math.exp(-2.0 * alpha_abs**2)
     return AppendixBReport(
         alpha_abs=alpha_abs,
         p0=p0,
@@ -336,5 +323,4 @@ def verify_appendix_b(
         srm_success=srm_success,
         off_vacuum_distance=max(distances),
         vacuum_split=split,
-        mixed_closed_form=closed,
     )

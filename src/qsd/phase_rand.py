@@ -25,11 +25,24 @@ from .symmetric import GramMatrix, SymmetricFamilySpec
 #: Default Poisson tail mass at which the photon-number series is truncated.
 DEFAULT_TAIL_TOL = 1e-12
 
+#: Smallest tail tolerance accepted: 1 - sum_N p_N is a float sum, which stops
+#: falling at rounding level, so below this a series can stall short of its
+#: tolerance (at 1e-15, 26 of 1,201 means in [0, 60] do; at 1e-14, no mean
+#: up to 700 does).
+MIN_TAIL_TOL = 1e-14
+
 #: Hard cap on the truncation photon number, whatever the tail demands.
 DEFAULT_N_CAP = 150
 
 #: Largest dimension BlockDiagonalMatrix.to_dense will embed into.
 DENSE_DIMENSION_CAP = 10_000
+
+
+def check_tail_tol(value: float, name: str) -> float:
+    """`value` if it lies in [MIN_TAIL_TOL, 1), else ValueError naming `name`."""
+    if not MIN_TAIL_TOL <= value < 1.0:  # also rejects nan
+        raise ValueError(f"{name} is not a number in [{MIN_TAIL_TOL:g}, 1)")
+    return value
 
 
 def default_tail_tol() -> float:
@@ -41,9 +54,7 @@ def default_tail_tol() -> float:
         value = float(raw)
     except ValueError:
         value = math.nan
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"QSD_TAIL_TOL={raw!r} is not a number in (0, 1)")
-    return value
+    return check_tail_tol(value, f"QSD_TAIL_TOL={raw!r}")
 
 
 @dataclass(frozen=True)
@@ -84,13 +95,12 @@ def poisson_series(
     series is bit-identical however it is reached.  Raises CapacityError
     when exp(-mean) underflows, which would silently zero every weight.
     """
-    if mean < 0:
-        raise ValueError(f"negative mean photon number {mean}")
+    if not mean >= 0:  # also rejects nan
+        raise ValueError(f"mean photon number {mean} is not a number >= 0")
     if n_max is None:
         if tail_tol is None:
             tail_tol = default_tail_tol()
-        if not 0.0 < tail_tol < 1.0:
-            raise ValueError(f"tail_tol {tail_tol} outside (0, 1)")
+        check_tail_tol(tail_tol, "tail_tol")
     term = math.exp(-mean)
     if term < sys.float_info.min:
         raise CapacityError(f"exp(-{mean}) underflows: Poisson weights would vanish")
@@ -126,7 +136,6 @@ def truncation_photon_number(
 class SubspaceOverlapSeries:
     """Per-photon-number weights and Gram matrices of a coherent family."""
 
-    family_tag: str
     n_max: int
     weights: np.ndarray
     per_n_gram: tuple[GramMatrix, ...]
@@ -134,9 +143,7 @@ class SubspaceOverlapSeries:
 
 
 def decompose(
-    spec: SymmetricFamilySpec,
-    tail_tol: float | None = None,
-    n_cap: int = DEFAULT_N_CAP,
+    spec: SymmetricFamilySpec, tail_tol: float | None = None
 ) -> SubspaceOverlapSeries:
     """Photon-number decomposition of one phase-randomized coherent family.
 
@@ -144,9 +151,8 @@ def decompose(
     builds the Gram matrix of the four (or two) pure N-photon states in each
     retained subspace.
     """
-    weights, blocks = subspace_state_blocks(spec, tail_tol, n_cap)
+    weights, blocks = subspace_state_blocks(spec, tail_tol)
     return SubspaceOverlapSeries(
-        family_tag=spec.family_tag,
         n_max=len(weights) - 1,
         weights=weights,
         per_n_gram=tuple(symmetric.gram_matrix(states) for states in blocks),
@@ -155,16 +161,14 @@ def decompose(
 
 
 def subspace_state_blocks(
-    spec: SymmetricFamilySpec,
-    tail_tol: float | None = None,
-    n_cap: int = DEFAULT_N_CAP,
+    spec: SymmetricFamilySpec, tail_tol: float | None = None
 ) -> tuple[np.ndarray, list[list[np.ndarray]]]:
     """Poisson weights plus the per-N pure state vectors of a family.
 
     Returns (weights, blocks) with blocks[N] the list of L state vectors in
     the N-photon subspace basis, label order matching spec.labels.
     """
-    weights = np.array(poisson_series(spec.mean_photons, tail_tol, n_cap))
+    weights = np.array(poisson_series(spec.mean_photons, tail_tol))
     blocks = [symmetric.subspace_states(spec, n) for n in range(len(weights))]
     return weights, blocks
 
@@ -177,17 +181,13 @@ def subspace_state_blocks(
 class BlockDiagonalMatrix:
     """Hermitian matrix stored as one dense block per photon number.
 
-    Block N lives in the canonical N-photon subspace basis; off-block entries
-    are identically zero, so they are never materialised unless `to_dense`
-    is called for a small embedding.
+    Each block may be in any basis of its own (the canonical N-photon
+    subspace basis, or a span basis); off-block entries are identically zero,
+    so they are never materialised unless `to_dense` is called for a small
+    embedding.
     """
 
-    modes: int
     blocks: tuple[np.ndarray, ...]
-
-    @property
-    def n_max(self) -> int:
-        return len(self.blocks) - 1
 
     @property
     def dimension(self) -> int:
@@ -256,7 +256,7 @@ def phase_randomized_state(
     state: CoherentStateVector, n_max: int
 ) -> BlockDiagonalMatrix:
     """Phase-randomized density matrix of a generic coherent state."""
-    return BlockDiagonalMatrix(state.modes, tuple(randomized_blocks(state, n_max)))
+    return BlockDiagonalMatrix(tuple(randomized_blocks(state, n_max)))
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ class SymmetricFamilySpec:
     def __post_init__(self) -> None:
         if self.family_tag not in FAMILY_TAGS:
             raise ValueError(f"unknown family {self.family_tag!r}")
-        if self.amplitude < 0:
-            raise ValueError(f"negative amplitude {self.amplitude}")
+        if not self.amplitude >= 0:  # also rejects nan
+            raise ValueError(f"amplitude {self.amplitude} is not a number >= 0")
 
     @property
     def n_states(self) -> int:
@@ -227,25 +227,15 @@ def circulant_eigenvalues(g: GramMatrix) -> np.ndarray:
     return values
 
 
-def gram_eigenvalues(g: GramMatrix) -> np.ndarray:
-    """Eigenvalues of a Gram matrix: DFT route when circulant, dense otherwise."""
-    if g.circulant:
-        return circulant_eigenvalues(g)
-    dec = fock.hermitian_eig(g.entries)
-    values = dec.eigenvalues.copy()
-    if values.size and values[-1] < -EIGENVALUE_TOLERANCE:
-        raise InconsistentGramError(
-            f"Gram eigenvalue {values[-1]:.3e} below -{EIGENVALUE_TOLERANCE:.1e}"
-        )
-    values[np.abs(values) < EIGENVALUE_TOLERANCE] = 0.0
-    return values
-
-
 def srm_success_from_gram(g: GramMatrix) -> float:
-    """Square-root-measurement success for L equiprobable pure states.
+    """Square-root-measurement success for L equiprobable symmetric pure states.
 
-    Equals (1/L^2) (sum_k sqrt(lambda_k))^2 in terms of the Gram eigenvalues.
+    The SRM succeeds with (1/L) sum_i ((G^1/2)_ii)^2.  For a symmetric family
+    G is circulant, every diagonal entry of G^1/2 equals tr(G^1/2) / L, and
+    this is (1/L^2) (sum_k sqrt(lambda_k))^2 in the Gram eigenvalues (Ban et
+    al. 1997).  Any other G raises ValueError from `circulant_eigenvalues`:
+    there the eigenvalue formula is not the SRM success.
     """
-    lam = gram_eigenvalues(g)
+    lam = circulant_eigenvalues(g)
     total = float(np.sqrt(lam).sum())
     return (total / g.size) ** 2

@@ -18,8 +18,6 @@ from . import discrimination as disc
 from . import fock, optics, oracle, phase_rand, symmetric
 from .symmetric import SymmetricFamilySpec
 
-COHERENT_TAGS = ("two_mode", "three_mode", "four_mode", "phase_encoded")
-
 SUITE_NAMES = ("fock", "gram", "families", "appendix_a", "appendix_b", "circuit")
 
 
@@ -119,7 +117,7 @@ def suite_gram() -> list[CheckResult]:
 
     # DFT eigenvalues of the circulant Gram match the dense eigensolver
     worst = 0.0
-    for tag in COHERENT_TAGS:
+    for tag in disc.COHERENT_FAMILIES:
         spec = SymmetricFamilySpec(tag, 1.0)
         for n in range(0, 21):
             gram = symmetric.gram_matrix(symmetric.subspace_states(spec, n))
@@ -132,7 +130,7 @@ def suite_gram() -> list[CheckResult]:
 
     # computed per-subspace overlaps match their closed forms
     worst = 0.0
-    for tag in COHERENT_TAGS:
+    for tag in disc.COHERENT_FAMILIES:
         spec = SymmetricFamilySpec(tag, 0.9)
         for n in range(0, 31):
             gram = symmetric.gram_matrix(symmetric.subspace_states(spec, n))
@@ -182,7 +180,7 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
 
     # series route vs Gram-eigenvalue route
     worst = 0.0
-    for tag in COHERENT_TAGS:
+    for tag in disc.COHERENT_FAMILIES:
         for alpha in (0.3, 0.7, 1.2):
             series = phase_rand.decompose(SymmetricFamilySpec(tag, alpha), tail_tol)
             via_gram = sum(
@@ -195,7 +193,7 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
 
     # closed forms vs the brute-force block oracle
     worst = 0.0
-    for tag in COHERENT_TAGS:
+    for tag in disc.COHERENT_FAMILIES:
         for alpha in (0.3, 0.7, 1.2):
             block = _block_srm_success(tag, alpha, tail_tol)
             closed = disc.family_pcorr(tag, "mixed", alpha, tail_tol=tail_tol)
@@ -205,7 +203,7 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
     # curve shape: start at guessing, rise monotonically, saturate; mixed <= pure
     grid = np.linspace(0.0, 3.0, 200)
     worst_start = worst_mono = worst_order = worst_tail = 0.0
-    for tag in COHERENT_TAGS:
+    for tag in disc.COHERENT_FAMILIES:
         guess = 0.5 if tag == "two_mode" else 0.25
         curves = {}
         for variant in ("pure", "mixed"):
@@ -309,13 +307,14 @@ def suite_appendix_a(tail_tol: float = 1e-12) -> list[CheckResult]:
 
     # each photon-number block, renormalized, is a rank-1 projector
     worst = max(
-        _block_purity_defect(SymmetricFamilySpec(tag, 0.7)) for tag in COHERENT_TAGS
+        _block_purity_defect(SymmetricFamilySpec(tag, 0.7))
+        for tag in disc.COHERENT_FAMILIES
     )
     results.append(_check("appendix_a.block_purity", worst, 1e-10))
 
     # the generating unitary maps neighbours onto each other, and U^L = 1
     worst_map = worst_power = 0.0
-    for tag in COHERENT_TAGS:
+    for tag in disc.COHERENT_FAMILIES:
         spec = SymmetricFamilySpec(tag, 0.8)
         order = spec.n_states
         for n in range(0, 9):
@@ -335,7 +334,7 @@ def suite_appendix_a(tail_tol: float = 1e-12) -> list[CheckResult]:
 
     # one global square-root measurement equals the per-block combination
     worst = 0.0
-    for tag in COHERENT_TAGS:
+    for tag in disc.COHERENT_FAMILIES:
         for alpha in (0.3, 0.7, 1.2):
             spec = SymmetricFamilySpec(tag, alpha)
             weights, blocks = phase_rand.subspace_state_blocks(spec, tail_tol)
@@ -357,7 +356,8 @@ def suite_appendix_b(tail_tol: float = 1e-12) -> list[CheckResult]:
         for alpha in (0.2, 0.8):
             report = oracle.verify_appendix_b(alpha, p0, tail_tol)
             worst_hel = max(
-                worst_hel, abs(report.helstrom_success - report.mixed_closed_form)
+                worst_hel,
+                abs(report.helstrom_success - disc.two_mode_mixed_pcorr(alpha, p0)),
             )
             worst_offvac = max(worst_offvac, report.off_vacuum_distance)
             worst_split = max(

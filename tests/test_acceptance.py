@@ -83,7 +83,7 @@ def test_criterion_4_helstrom_equivalence():
             result = oracle.verify_appendix_b(alpha, p0, tail_tol=1e-12)
             worst_success = max(
                 worst_success,
-                abs(result.helstrom_success - result.mixed_closed_form),
+                abs(result.helstrom_success - disc.two_mode_mixed_pcorr(alpha, p0)),
             )
             if p0 == 0.5:
                 worst_povm = max(worst_povm, result.off_vacuum_distance)

@@ -246,7 +246,7 @@ class TestCurve:
         value = float(out.strip().splitlines()[-1].split(",")[2])
         assert value == pytest.approx(disc.three_mode_mixed_pcorr(1.0, 1e-6)[0], rel=1e-11)
 
-    @pytest.mark.parametrize("value", ["2", "0", "-1e-6", "nan", "inf"])
+    @pytest.mark.parametrize("value", ["2", "0", "-1e-6", "nan", "inf", "1e-15", "1e-17"])
     def test_bad_tail_tol_flag(self, value, capsys):
         code, out, err = run(
             ["curve", "--family", "three_mode", "--metric", "p_corr",
@@ -256,7 +256,7 @@ class TestCurve:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("value", ["abc", "2", "nan"])
+    @pytest.mark.parametrize("value", ["abc", "2", "nan", "1e-15", "1e-17"])
     def test_bad_tail_tol_env(self, value, capsys, monkeypatch):
         # rejected even for two_mode, whose curves never use it
         monkeypatch.setenv("QSD_TAIL_TOL", value)
@@ -304,6 +304,12 @@ class TestVerify:
         code, out, _err = run(["verify", "circuit"], capsys)
         assert code == 0
         assert "circuit.fig3_identification_map" in out
+
+    def test_unreachable_tail_tol_rejected(self, capsys):
+        # the float tail 1 - sum p_N stalls above 1e-17 at a mean of 0.98
+        code, out, err = run(["verify", "families", "--tail-tol", "1e-17"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --tail-tol") and err.count("\n") == 1
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

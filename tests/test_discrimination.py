@@ -343,7 +343,7 @@ class TestDeltaAndShapes:
                 assert gap >= -1e-12
 
     def test_crossover_report(self):
-        report = disc.phase_encoded_ot_crossover(grid_points=801)
+        report = disc.phase_encoded_ot_crossover()
         assert report.intervals
         assert 0.7 <= report.lower_bound <= 0.9
 

@@ -403,7 +403,7 @@ class TestMatrixFunction:
 
     def test_pseudo_inverse_sqrt_on_rank_deficient_diagonal(self):
         m = np.diag([4.0, 0.0])
-        out = fock.matrix_function(m, lambda x: 1.0 / math.sqrt(x), support_cutoff=1e-10)
+        out = fock.matrix_function(m, lambda x: 1.0 / math.sqrt(x))
         assert np.linalg.norm(out - np.diag([0.5, 0.0])) < 1e-14
 
     def test_rejects_indefinite(self):

@@ -5,7 +5,7 @@ import pytest
 
 from qsd import discrimination as disc
 from qsd import optics
-from qsd.optics import BeamSplitter, LinearCircuit, PhaseShift
+from qsd.optics import BeamSplitter, LinearCircuit
 from qsd.symmetric import SymmetricFamilySpec
 
 SQRT2 = math.sqrt(2.0)
@@ -33,16 +33,6 @@ class TestApplyCircuit:
             for mode in range(4):
                 if mode != hot:
                     assert abs(out[mode]) < 1e-14
-
-    def test_phase_shift_element(self):
-        circuit = LinearCircuit(
-            modes=1,
-            elements=(PhaseShift(0, math.pi / 2),),
-            detectors=(("D1", 0),),
-            identify={"D1": "0"},
-        )
-        out = optics.apply_circuit(circuit, [1.0])
-        assert out[0] == pytest.approx(1.0j, abs=1e-15)
 
     def test_energy_conservation(self):
         rng = np.random.default_rng(13)

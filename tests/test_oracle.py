@@ -32,11 +32,19 @@ class TestSrm:
         assert success == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_gram_eigenvalue_route(self):
-        spec = SymmetricFamilySpec("three_mode", 0.8)
-        for photons in (1, 2, 3, 5):
-            states = symmetric.subspace_states(spec, photons)
+        # every input the Gram route accepts: the coherent families' circulant
+        # blocks and the two fixed families
+        families = [
+            symmetric.subspace_states(SymmetricFamilySpec(tag, 0.8), n)
+            for tag in disc.COHERENT_FAMILIES
+            for n in range(13)
+        ]
+        families += [
+            SymmetricFamilySpec(tag).fixed_state_vectors() for tag in ("qutrit", "ququart")
+        ]
+        for states in families:
             gram = symmetric.gram_matrix(states)
-            _povm, success = oracle.srm(states, [0.25] * 4)
+            _povm, success = oracle.srm(states, [1.0 / len(states)] * len(states))
             assert success == pytest.approx(
                 symmetric.srm_success_from_gram(gram), abs=1e-10
             )
@@ -164,6 +172,11 @@ class TestBlockSrm:
         with pytest.raises(ValueError):
             oracle.block_srm([vectors], [0.5, 0.5])
 
+    def test_nan_weight_rejected(self):
+        vectors = SymmetricFamilySpec("qutrit").fixed_state_vectors()
+        with pytest.raises(ValueError):
+            oracle.block_srm([vectors], [math.nan])
+
 
 class TestWholeMatrixSrm:
     def test_matches_literal_direct_sum_embedding(self):
@@ -203,7 +216,7 @@ class TestVerifyAppendixB:
         report = oracle.verify_appendix_b(0.5, 0.5)
         assert abs(report.success_gap) < 1e-9
         assert report.helstrom_success == pytest.approx(
-            report.mixed_closed_form, abs=1e-8
+            disc.two_mode_mixed_pcorr(0.5, 0.5), abs=1e-8
         )
         assert report.off_vacuum_distance < 1e-9
         assert report.vacuum_split[0] == pytest.approx(0.5, abs=1e-9)
@@ -219,7 +232,7 @@ class TestVerifyAppendixB:
         # its success is the closed form, the SRM's follows from its own
         # vacuum split and is strictly smaller off the symmetric point
         assert report.helstrom_success == pytest.approx(
-            report.mixed_closed_form, abs=1e-8
+            disc.two_mode_mixed_pcorr(0.5, 0.3), abs=1e-8
         )
         srm_expected = 1.0 - 2.0 * 0.3 * 0.7 * math.exp(-2.0 * 0.25)
         assert report.srm_success == pytest.approx(srm_expected, abs=1e-9)

@@ -41,6 +41,13 @@ class TestTruncation:
         with pytest.raises(fock.CapacityError):
             phase_rand.truncation_photon_number(12.0, 1e-12, n_cap=5)
 
+    @pytest.mark.parametrize(
+        "series", [phase_rand.poisson_series, phase_rand.truncation_photon_number]
+    )
+    def test_nan_mean_rejected(self, series):
+        with pytest.raises(ValueError):
+            series(math.nan, 1e-12)
+
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             phase_rand.truncation_photon_number(1.0, 0.0)
