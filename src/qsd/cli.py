@@ -61,8 +61,12 @@ def _parse_variants(text: str) -> tuple[str, ...]:
     return variants
 
 
+#: Every number written: 12 significant digits.
+VALUE_FORMAT = "{:.12g}"
+
+
 def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+    return VALUE_FORMAT.format(value)
 
 
 @dataclass(frozen=True)
@@ -83,31 +87,45 @@ class CurveRequest:
             raise UsageError(
                 f"metric {self.metric!r} is not defined for family {self.family!r}"
             )
-        if len(self.alphas) < 2 or self.alphas[0] < 0 or self.alphas[-1] <= self.alphas[0]:
-            raise UsageError("alpha grid needs 0 <= min < max and steps >= 2")
+        alphas = np.asarray(self.alphas, dtype=float)
+        object.__setattr__(self, "alphas", alphas)
+        if (
+            alphas.ndim != 1
+            or alphas.size < 2
+            or not (np.isfinite(alphas) & (alphas >= 0)).all()
+            or alphas[-1] <= alphas[0]
+        ):
+            raise UsageError(
+                "alpha grid needs finite entries >= 0, first < last and steps >= 2"
+            )
         if not 0.0 < self.prior < 1.0:
             raise UsageError(f"prior {self.prior} outside (0, 1)")
+        try:
+            check_tail_tol(self.tail_tol, "tail_tol")
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
 
-def _curve_row(request: CurveRequest, alpha: float) -> list[float]:
+def _curve_columns(request: CurveRequest) -> list[np.ndarray]:
+    """The value columns of a curve, each computed over the whole grid at once."""
     family, metric, variants = request.family, request.metric, request.variants
-    prior, tail_tol = request.prior, request.tail_tol
+    alphas, prior, tail_tol = request.alphas, request.prior, request.tail_tol
     if metric == "p_corr":
         return [
-            disc.family_pcorr(family, v, alpha, prior=prior, tail_tol=tail_tol)
+            disc.family_pcorr(family, v, alphas, prior=prior, tail_tol=tail_tol)
             for v in variants
         ]
     if metric == "p_unambiguous":
-        return [disc.four_mode_unambiguous(alpha)]
+        return [disc.four_mode_unambiguous(alphas)]
     if metric == "p_1bit":
-        return [disc.family_p1bit(family, v, alpha, tail_tol) for v in variants]
+        return [disc.family_p1bit(family, v, alphas, tail_tol) for v in variants]
     if metric == "b_ot":
-        row = []
+        columns = []
         for v in variants:
-            row.append(disc.family_p1bit(family, v, alpha, tail_tol))
-            row.append(disc.family_bot(family, v, alpha, tail_tol))
-        return row
-    return [disc.delta_pcorr(family, alpha, prior=prior, tail_tol=tail_tol)]
+            columns.append(disc.family_p1bit(family, v, alphas, tail_tol))
+            columns.append(disc.family_bot(family, v, alphas, tail_tol))
+        return columns
+    return [disc.delta_pcorr(family, alphas, prior=prior, tail_tol=tail_tol)]
 
 
 def _curve_header(metric: str, variants: Sequence[str]) -> list[str]:
@@ -124,11 +142,11 @@ def _curve_header(metric: str, variants: Sequence[str]) -> list[str]:
 
 
 def cmd_curve(request: CurveRequest, out: TextIO) -> int:
-    alphas = [float(alpha) for alpha in request.alphas]
-    rows = [_curve_row(request, alpha) for alpha in alphas]
-    print(",".join(_curve_header(request.metric, request.variants)), file=out)
-    for alpha, row in zip(alphas, rows):
-        print(",".join(_fmt(v) for v in [alpha] + row), file=out)
+    columns = [request.alphas] + _curve_columns(request)
+    row_format = ",".join([VALUE_FORMAT] * len(columns))
+    lines = [",".join(_curve_header(request.metric, request.variants))]
+    lines += [row_format.format(*row) for row in zip(*(c.tolist() for c in columns))]
+    out.write("\n".join(lines) + "\n")
     return 0
 
 

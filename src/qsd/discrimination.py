@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .phase_rand import DEFAULT_N_CAP, poisson_series
+from .phase_rand import DEFAULT_N_CAP, poisson_series, poisson_series_grid
 from .symmetric import COHERENT_FAMILY_MODES, SymmetricFamilySpec
 
 #: Families encoding two bits in four states (p_1bit / b_ot are defined here).
@@ -26,6 +26,11 @@ FOUR_STATE_FAMILIES = ("three_mode", "four_mode", "phase_encoded")
 COHERENT_FAMILIES = ("two_mode",) + FOUR_STATE_FAMILIES
 
 VARIANTS = ("pure", "mixed")
+
+#: Grid points per vectorised Poisson pass.  A pass holds two (points x 151)
+#: float arrays, so this bounds them near 2.5 MB whatever the grid's length;
+#: every grid the library scans itself (at most 801 points) is one pass.
+GRID_CHUNK = 1024
 
 
 class InvalidOverlapError(ValueError):
@@ -85,6 +90,14 @@ def _subspace_table(tag: str, metric: str) -> tuple[float, ...]:
     return (vacuum,) + tuple(term(tag, n) for n in range(1, DEFAULT_N_CAP + 1))
 
 
+@lru_cache(maxsize=None)
+def _subspace_array(tag: str, metric: str) -> np.ndarray:
+    """`_subspace_table` as a read-only array, for the column path."""
+    table = np.array(_subspace_table(tag, metric))
+    table.flags.writeable = False
+    return table
+
+
 def _mixed_series(
     tag: str, metric: str, alpha_abs: float, tail_tol: float | None
 ) -> tuple[float, int]:
@@ -99,6 +112,59 @@ def _mixed_series(
     for p_n, s_n in zip(weights, _subspace_table(tag, metric)):
         total += p_n * s_n
     return total, len(weights)
+
+
+def _mixed_column(
+    tag: str, metric: str, alphas: np.ndarray, tail_tol: float | None
+) -> np.ndarray:
+    """`_mixed_series` values over a 1-D |alpha| grid, bit-identical per point.
+
+    One `poisson_series_grid` pass per chunk of points; each row's terms
+    p_N s_N are summed left to right by np.add.accumulate, and the zero
+    weights past a row's truncation leave its sum unchanged.
+    """
+    modes = COHERENT_FAMILY_MODES[tag]
+    means = np.array([modes * _intensity(a) for a in alphas.tolist()])
+    table = _subspace_array(tag, metric)
+    out = np.empty(means.size)
+    for start in range(0, means.size, GRID_CHUNK):
+        terms = poisson_series_grid(means[start : start + GRID_CHUNK], tail_tol)
+        terms *= table[: terms.shape[1]]  # in place: p_N s_N
+        out[start : start + GRID_CHUNK] = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+    return out
+
+
+def _grid(alpha_abs) -> np.ndarray | None:
+    """A 1-D |alpha| grid as a float array, or None for a single point.
+
+    A grid is checked before any point is evaluated: its first NaN or
+    negative entry raises the ValueError that point raises on its own.
+    """
+    if np.ndim(alpha_abs) == 0:
+        return None
+    alphas = np.asarray(alpha_abs, dtype=float)
+    if alphas.ndim != 1:
+        raise ValueError(f"|alpha| grid has shape {alphas.shape}, not 1-D")
+    invalid = ~(alphas >= 0)
+    if invalid.any():
+        _intensity(float(alphas[np.argmax(invalid)]))
+    return alphas
+
+
+def _pointwise(fn, alpha_abs):
+    """fn(|alpha|) at one point, or an array of per-point values over a grid."""
+    alphas = _grid(alpha_abs)
+    if alphas is None:
+        return fn(alpha_abs)
+    return np.array([fn(a) for a in alphas.tolist()], dtype=float)
+
+
+def _mixed(tag: str, metric: str, alpha_abs, tail_tol: float | None):
+    """Mixed-series value at one point (scalar loop) or over a grid (column pass)."""
+    alphas = _grid(alpha_abs)
+    if alphas is None:
+        return _mixed_series(tag, metric, alpha_abs, tail_tol)[0]
+    return _mixed_column(tag, metric, alphas, tail_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +242,12 @@ def four_mode_mixed_pcorr(alpha_abs: float) -> float:
     return 1.0 - 0.75 * math.exp(-4.0 * _intensity(alpha_abs))
 
 
-def four_mode_unambiguous(alpha_abs: float) -> float:
-    """Unambiguous success probability 1 - exp(-4|alpha|^2)."""
-    return 1.0 - math.exp(-4.0 * _intensity(alpha_abs))
+def four_mode_unambiguous(alpha_abs):
+    """Unambiguous success probability 1 - exp(-4|alpha|^2).
+
+    One |alpha| or a 1-D grid, as for `family_pcorr`.
+    """
+    return _pointwise(lambda a: 1.0 - math.exp(-4.0 * _intensity(a)), alpha_abs)
 
 
 def four_mode_pure_pcorr(alpha_abs: float) -> float:
@@ -266,35 +335,41 @@ def phase_encoded_pure_pcorr(alpha_abs: float) -> float:
 def family_pcorr(
     family,
     variant: str,
-    alpha_abs: float,
+    alpha_abs,
     prior: float = 0.5,
     tail_tol: float | None = None,
-) -> float:
-    """Minimum-error probability of a coherent family, pure or mixed."""
+):
+    """Minimum-error probability of a coherent family, pure or mixed.
+
+    `alpha_abs` is one |alpha| (returns a float) or a 1-D grid (returns an
+    array, each entry bit-identical to the single-point call).
+    """
     tag = _family_tag(family)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if tag == "two_mode":
         if variant == "mixed":
-            return two_mode_mixed_pcorr(alpha_abs, prior)
-        return two_mode_pure_pcorr(alpha_abs, prior)
-    if tag == "three_mode":
-        if variant == "mixed":
-            return three_mode_mixed_pcorr(alpha_abs, tail_tol)[0]
-        return three_mode_pure_pcorr(alpha_abs)
-    if tag == "four_mode":
-        if variant == "mixed":
-            return four_mode_mixed_pcorr(alpha_abs)
-        return four_mode_pure_pcorr(alpha_abs)
+            return _pointwise(lambda a: two_mode_mixed_pcorr(a, prior), alpha_abs)
+        return _pointwise(lambda a: two_mode_pure_pcorr(a, prior), alpha_abs)
     if variant == "mixed":
-        return phase_encoded_mixed_pcorr(alpha_abs, tail_tol)[0]
-    return phase_encoded_pure_pcorr(alpha_abs)
+        if tag == "four_mode":
+            return _pointwise(four_mode_mixed_pcorr, alpha_abs)
+        return _mixed(tag, "p_corr", alpha_abs, tail_tol)
+    pure = {
+        "three_mode": three_mode_pure_pcorr,
+        "four_mode": four_mode_pure_pcorr,
+        "phase_encoded": phase_encoded_pure_pcorr,
+    }[tag]
+    return _pointwise(pure, alpha_abs)
 
 
 def delta_pcorr(
-    family, alpha_abs: float, prior: float = 0.5, tail_tol: float | None = None
-) -> float:
-    """Gap p_corr(pure) - p_corr(mixed): what phase randomization costs."""
+    family, alpha_abs, prior: float = 0.5, tail_tol: float | None = None
+):
+    """Gap p_corr(pure) - p_corr(mixed): what phase randomization costs.
+
+    One |alpha| or a 1-D grid, as for `family_pcorr`.
+    """
     return family_pcorr(family, "pure", alpha_abs, prior, tail_tol) - family_pcorr(
         family, "mixed", alpha_abs, prior, tail_tol
     )
@@ -304,15 +379,15 @@ def delta_pcorr_max(family, tail_tol: float | None = None) -> tuple[float, float
     """Grid-scan maximum of delta_pcorr on [0, 3] at step 0.005.
 
     The curves are smooth and unimodal at plot resolution, so a fixed-step
-    scan suffices; returns (alpha_at_max, max_value).
+    scan suffices; returns (alpha_at_max, max_value), the first grid point
+    of a tie, or (0, 0) when no gap is positive.
     """
-    best_alpha, best = 0.0, 0.0
-    for i in range(601):
-        a = i * 0.005
-        d = delta_pcorr(family, a, tail_tol=tail_tol)
-        if d > best:
-            best_alpha, best = a, d
-    return best_alpha, best
+    alphas = np.arange(601) * 0.005
+    gaps = delta_pcorr(family, alphas, tail_tol=tail_tol)
+    i = int(np.argmax(gaps))
+    if not gaps[i] > 0.0:
+        return 0.0, 0.0
+    return float(alphas[i]), float(gaps[i])
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +485,13 @@ def _p1bit_subspace_term(tag: str, n: int) -> float:
     return _p1bit_from_squares(re2, im2, 0.0)
 
 
-def family_p1bit(
-    family, variant: str, alpha_abs: float, tail_tol: float | None = None
-) -> float:
+def family_p1bit(family, variant: str, alpha_abs, tail_tol: float | None = None):
     """Probability that an honest receiver learns their chosen bit.
 
     Pure variant: the overlap formula on the family's pure overlaps.  Mixed
     variant: Poisson-weighted sum of per-subspace values, with the vacuum
-    term fixed at 1/2 (indistinguishable states force a coin flip).
+    term fixed at 1/2 (indistinguishable states force a coin flip).  One
+    |alpha| or a 1-D grid, as for `family_pcorr`.
     """
     tag = _family_tag(family)
     if tag not in FOUR_STATE_FAMILIES:
@@ -425,18 +499,16 @@ def family_p1bit(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "pure":
-        f, g = pure_overlaps(tag, alpha_abs)
-        return p1bit_from_overlaps(f, g)
-    return _mixed_series(tag, "p_1bit", alpha_abs, tail_tol)[0]
+        return _pointwise(lambda a: p1bit_from_overlaps(*pure_overlaps(tag, a)), alpha_abs)
+    return _mixed(tag, "p_1bit", alpha_abs, tail_tol)
 
 
-def family_bot(
-    family, variant: str, alpha_abs: float, tail_tol: float | None = None
-) -> float:
+def family_bot(family, variant: str, alpha_abs, tail_tol: float | None = None):
     """Dishonest receiver's probability of learning both bits.
 
     Cheating means discriminating all four states at once, so this is the
-    corresponding minimum-error probability.
+    corresponding minimum-error probability.  One |alpha| or a 1-D grid, as
+    for `family_pcorr`.
     """
     tag = _family_tag(family)
     if tag not in FOUR_STATE_FAMILIES:
@@ -464,13 +536,18 @@ class CrossoverReport:
 
 
 def _invert_monotone(fn, target: float, lo: float, hi: float, iterations: int = 80) -> float:
-    """Bisection inverse of a non-decreasing function on [lo, hi]."""
+    """Bisection inverse of a non-decreasing function on [lo, hi].
+
+    Stops early once a step leaves (lo, hi) unchanged: the midpoint then
+    rounds to an end, so every later step would repeat it, and the result is
+    the one all `iterations` steps give.
+    """
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if fn(mid) < target else (lo, mid)
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
     return 0.5 * (lo + hi)
 
 
@@ -498,10 +575,10 @@ def phase_encoded_ot_crossover(tail_tol: float | None = None) -> CrossoverReport
         )
 
     alphas = np.linspace(0.0, alpha_max, grid_points)
-    pure_p = np.array([pure_p_of(a) for a in alphas])
-    pure_b = np.array([family_bot("phase_encoded", "pure", a, tail_tol) for a in alphas])
-    mixed_p = np.array([mixed_p_of(a) for a in alphas])
-    mixed_b = np.array([family_bot("phase_encoded", "mixed", a, tail_tol) for a in alphas])
+    pure_p = pure_p_of(alphas)
+    pure_b = family_bot("phase_encoded", "pure", alphas, tail_tol)
+    mixed_p = mixed_p_of(alphas)
+    mixed_b = family_bot("phase_encoded", "mixed", alphas, tail_tol)
 
     lo = max(pure_p[0], mixed_p[0])
     hi = min(pure_p[-1], mixed_p[-1])

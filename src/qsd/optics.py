@@ -127,6 +127,8 @@ def min_error_via_circuit(
         priors = [1.0 / len(labels)] * len(labels)
     if len(priors) != len(labels) or abs(sum(priors) - 1.0) > 1e-12:
         raise ValueError("priors must match the family labels and sum to 1")
+    if not all(p >= 0 for p in priors):  # also rejects nan
+        raise ValueError(f"priors {list(priors)} are not all numbers >= 0")
     label_to_detector: dict[str, str] = {}
     for name, label in circuit.identify.items():
         if label in label_to_detector:

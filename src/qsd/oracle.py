@@ -75,6 +75,8 @@ def srm(
     """
     if len(states) != len(priors):
         raise ValueError("one prior per state required")
+    if not all(p >= 0 for p in priors):  # also rejects nan
+        raise ValueError(f"priors {list(priors)} are not all numbers >= 0")
     if abs(sum(priors) - 1.0) > 1e-12:
         raise ValueError(f"priors sum to {sum(priors)}, not 1")
     rhos = [_as_density_matrix(s) for s in states]

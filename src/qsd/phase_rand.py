@@ -120,6 +120,60 @@ def poisson_series(
     return weights
 
 
+def poisson_series_grid(means: np.ndarray, tail_tol: float | None = None) -> np.ndarray:
+    """`poisson_series` of every mean in a 1-D array, in one vectorised pass.
+
+    Row i holds the weights of means[i], bit-identical to
+    poisson_series(means[i], tail_tol), then zeros up to the longest
+    row.  Each row is the same IEEE recurrence: p_0 = math.exp(-mean), then
+    np.multiply.accumulate of [p_0, mean/1, mean/2, ...], stopped where the
+    np.add.accumulate of the weights first leaves a tail below `tail_tol`.
+    Where some mean fails (negative, NaN, underflow, past DEFAULT_N_CAP),
+    raises the error poisson_series raises for the first such mean.
+    """
+    means = np.asarray(means, dtype=float)
+    if tail_tol is None:
+        tail_tol = default_tail_tol()
+    check_tail_tol(tail_tol, "tail_tol")
+    if not means.size:
+        return np.zeros((0, 1))
+    ok = means >= 0  # also rejects nan
+    first = np.array([math.exp(-m) if v else 0.0 for m, v in zip(means.tolist(), ok.tolist())])
+    ok &= first >= sys.float_info.min
+    # failing rows run as mean 0, so that no inf or nan arises; they raise below
+    first, run = np.where(ok, first, 1.0), np.where(ok, means, 0.0)
+    # The largest mean's series is the longest up to rounding, so its length
+    # is the width tried first (105 of the cap's 151 terms on the three-mode
+    # 0:4 curve); rows that need more are run again at the cap's width.
+    full = DEFAULT_N_CAP + 1
+    try:
+        width = len(poisson_series(float(run.max()), tail_tol))
+    except CapacityError:
+        width = full
+    weights, stops = _poisson_rows(first, run, tail_tol, width)
+    if not stops.any(axis=1).all():
+        weights, stops = _poisson_rows(first, run, tail_tol, full)
+    ok &= stops.any(axis=1)
+    if not ok.all():
+        poisson_series(float(means[np.argmin(ok)]), tail_tol)
+    last = np.argmax(stops, axis=1)
+    weights[np.arange(weights.shape[1]) > last[:, None]] = 0.0
+    return weights[:, : last.max() + 1]
+
+
+def _poisson_rows(
+    first: np.ndarray, means: np.ndarray, tail_tol: float, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights p_0..p_{width-1} per row, and where each row's tail is below tail_tol."""
+    weights = np.empty((means.size, width))
+    weights[:, 0] = first
+    np.divide(means[:, None], np.arange(1, width), out=weights[:, 1:])
+    np.multiply.accumulate(weights, axis=1, out=weights)
+    tail = np.add.accumulate(weights, axis=1)
+    np.subtract(1.0, tail, out=tail)
+    return weights, tail < tail_tol
+
+
 def poisson_weights(mean: float, n_max: int) -> np.ndarray:
     """p_N = exp(-mean) mean^N / N! for N = 0..n_max."""
     return np.array(poisson_series(mean, n_max=n_max))

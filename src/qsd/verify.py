@@ -207,19 +207,13 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
         guess = 0.5 if tag == "two_mode" else 0.25
         curves = {}
         for variant in ("pure", "mixed"):
-            values = curves[variant] = [
-                disc.family_pcorr(tag, variant, a, tail_tol=tail_tol) for a in grid
-            ]
-            worst_start = max(worst_start, abs(values[0] - guess))
-            worst_mono = max(
-                worst_mono,
-                max(
-                    (values[i] - values[i + 1] for i in range(len(values) - 1)),
-                    default=0.0,
-                ),
+            values = curves[variant] = disc.family_pcorr(
+                tag, variant, grid, tail_tol=tail_tol
             )
+            worst_start = max(worst_start, abs(values[0] - guess))
+            worst_mono = max(worst_mono, np.max(values[:-1] - values[1:]))
             worst_tail = max(worst_tail, 0.999 - values[-1])
-        gap = min(p - m for p, m in zip(curves["pure"], curves["mixed"]))
+        gap = np.min(curves["pure"] - curves["mixed"])
         worst_order = max(worst_order, -gap)
     results.append(_check("families.pcorr_starts_at_guessing", worst_start, 1e-12))
     results.append(_check("families.pcorr_monotone", worst_mono, 1e-8))
@@ -234,19 +228,15 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
     results.append(_check("families.delta_pcorr_peak_band", worst, 0.05))
 
     # oblivious-transfer relations between cheating and honest success
-    worst_linear = worst_square = 0.0
-    for alpha in np.linspace(0.025, 2.5, 100):
-        for tag, variant in (
-            ("three_mode", "mixed"),
-            ("four_mode", "pure"),
-            ("four_mode", "mixed"),
-        ):
-            b = disc.family_bot(tag, variant, alpha, tail_tol)
-            p = disc.family_p1bit(tag, variant, alpha, tail_tol)
-            worst_linear = max(worst_linear, abs(b - (1.5 * p - 0.5)))
-        b = disc.family_bot("three_mode", "pure", alpha, tail_tol)
-        p = disc.family_p1bit("three_mode", "pure", alpha, tail_tol)
-        worst_square = max(worst_square, abs(b - p * p))
+    grid = np.linspace(0.025, 2.5, 100)
+    worst_linear = 0.0
+    for tag, variant in (("three_mode", "mixed"), ("four_mode", "pure"), ("four_mode", "mixed")):
+        b = disc.family_bot(tag, variant, grid, tail_tol)
+        p = disc.family_p1bit(tag, variant, grid, tail_tol)
+        worst_linear = max(worst_linear, np.max(np.abs(b - (1.5 * p - 0.5))))
+    b = disc.family_bot("three_mode", "pure", grid, tail_tol)
+    p = disc.family_p1bit("three_mode", "pure", grid, tail_tol)
+    worst_square = np.max(np.abs(b - p * p))
     results.append(_check("families.bot_linear_in_p1bit", worst_linear, 1e-10))
     results.append(_check("families.bot_square_three_mode_pure", worst_square, 1e-10))
 

@@ -291,6 +291,15 @@ class TestCurveRequest:
         with pytest.raises(cli.UsageError):
             cli.CurveRequest("two_mode", "p_corr", np.linspace(0, 1, 3), prior=1.5)
 
+    @pytest.mark.parametrize(
+        "alphas, tail_tol",
+        [([math.nan, 1.0], 1e-12), ([0.0, -1.0, 1.0], 1e-12), ([0.0, 1.0], 1e-17)],
+        ids=["nan_entry", "negative_entry", "tail_tol_1e-17"],
+    )
+    def test_bad_grid_or_tail_tol_is_usage_error(self, alphas, tail_tol):
+        with pytest.raises(cli.UsageError):
+            cli.CurveRequest("three_mode", "p_corr", alphas, tail_tol=tail_tol)
+
 
 class TestVerify:
     def test_gram_suite_passes(self, capsys):

@@ -347,6 +347,57 @@ class TestDeltaAndShapes:
         assert report.intervals
         assert 0.7 <= report.lower_bound <= 0.9
 
+    def test_crossover_report_equals_fixed_step_bisection(self, monkeypatch):
+        report = disc.phase_encoded_ot_crossover()
+        monkeypatch.setattr(disc, "_invert_monotone", fixed_step_inverse)
+        assert disc.phase_encoded_ot_crossover() == report
+
+    def test_delta_max_equals_single_point_scan(self):
+        for tag in disc.COHERENT_FAMILIES:
+            best_alpha, best = 0.0, 0.0
+            for i in range(601):
+                d = disc.delta_pcorr(tag, i * 0.005)
+                if d > best:
+                    best_alpha, best = i * 0.005, d
+            assert disc.delta_pcorr_max(tag) == (best_alpha, best)
+
+
+def fixed_step_inverse(fn, target, lo, hi, iterations=80):
+    """The bisection with every one of its `iterations` steps taken."""
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestInvertMonotone:
+    @pytest.mark.parametrize(
+        "fn, target, lo, hi",
+        [
+            (math.sin, 0.3, 0.0, 1.5),
+            (lambda x: x**3, 8.0, 0.0, 4.0),
+            (lambda x: 0.0 if x < 0.7 else 1.0, 0.5, 0.0, 4.0),  # step function
+            (lambda x: 0.0 if x < 0.7 else 1.0, 0.5, 1.0, 4.0),  # step left of [lo, hi]
+        ],
+        ids=["sin", "cube", "step", "step_outside"],
+    )
+    @pytest.mark.parametrize("iterations", (40, 80))
+    def test_early_stop_gives_the_fixed_step_result(self, fn, target, lo, hi, iterations):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return fn(x)
+
+        expected = fixed_step_inverse(fn, target, lo, hi, iterations)
+        assert disc._invert_monotone(counted, target, lo, hi, iterations) == expected
+        assert len(calls) <= iterations
+        if iterations == 80:  # a bracket away from 0 stalls after about 54 halvings
+            assert len(calls) < 80
+
 
 @pytest.mark.parametrize("alpha", (30.0, 1e200, math.inf))
 class TestLargeAlphaLimits:

@@ -130,6 +130,13 @@ class TestMinErrorViaCircuit:
                 disc.two_mode_mixed_pcorr(alpha, 0.25), abs=1e-12
             )
 
+    @pytest.mark.parametrize("priors", ([1.5, -0.5], [math.nan, 1.0]))
+    def test_negative_or_nan_prior_rejected(self, priors):
+        # [1.5, -0.5] sums to 1; it gave 1.3033, no probability
+        spec = SymmetricFamilySpec("two_mode", 0.5)
+        with pytest.raises(ValueError, match="priors"):
+            optics.min_error_via_circuit(optics.preset("bs2"), spec, priors)
+
     def test_fig3_matches_closed_form(self):
         fig3 = optics.preset("fig3")
         for alpha in np.linspace(0.0, 2.5, 26):

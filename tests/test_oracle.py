@@ -26,6 +26,13 @@ class TestSrm:
         assert success == pytest.approx(0.75, abs=1e-10)
         povm.validate()
 
+    @pytest.mark.parametrize("priors", ([1.5, -0.5], [math.nan, 1.0]))
+    def test_negative_or_nan_prior_rejected(self, priors):
+        # [1.5, -0.5] sums to 1; it gave success 4.0 with a negative element
+        states = [np.eye(2, dtype=complex) / 2, np.diag([1.0, 0.0]).astype(complex)]
+        with pytest.raises(ValueError, match="priors"):
+            oracle.srm(states, priors)
+
     def test_ququart_family(self):
         vectors = SymmetricFamilySpec("ququart").fixed_state_vectors()
         _povm, success = oracle.srm(vectors, [0.25] * 4)
