@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,17 +50,24 @@ def _intensity(alpha_abs: float) -> float:
 
     Past the float range, |alpha| = inf included, every exp(-k |alpha|^2) is
     exactly 0, so each closed form returns its exact limit and a Poisson
-    series raises CapacityError, instead of the square raising OverflowError
-    or a trigonometric factor raising on inf.  NaN raises ValueError.
+    series raises CapacityError, instead of a trigonometric factor raising on
+    inf.  NaN raises ValueError.  The square is x * x, as in
+    `_intensities`: x ** 2 is libm pow, which differs from the product on
+    some inputs and raises OverflowError where the product gives inf.
     """
     if math.isnan(alpha_abs):
         raise ValueError("|alpha| is NaN")
     if alpha_abs < 0:
         raise ValueError(f"negative |alpha| {alpha_abs}")
-    try:
-        return min(float(alpha_abs) ** 2, sys.float_info.max)
-    except OverflowError:
-        return sys.float_info.max
+    x = float(alpha_abs)
+    return min(x * x, sys.float_info.max)
+
+
+def _intensities(alphas: np.ndarray) -> np.ndarray:
+    """`_intensity` of each entry of a grid checked by `_grid`, bit for bit."""
+    with np.errstate(over="ignore"):  # x * x overflows to inf, then saturates
+        square = alphas * alphas
+    return np.minimum(square, sys.float_info.max, out=square)
 
 
 def _normalized_prior(p: float) -> float:
@@ -73,6 +81,42 @@ def _clip_radicand(x: float) -> float:
     if x < -1e-12:
         raise InvalidOverlapError(f"radicand {x:.3e} below -1e-12")
     return max(x, 0.0)
+
+
+def _clip_radicands(x: np.ndarray) -> np.ndarray:
+    """`_clip_radicand` of each entry; the first entry below -1e-12 raises.
+
+    max(-0.0, 0.0) is -0.0, so this takes np.where, not np.maximum, to give
+    the same zero.
+    """
+    low = x < -1e-12
+    if low.any():
+        _clip_radicand(float(x[np.argmax(low)]))
+    return np.where(x < 0.0, 0.0, x)
+
+
+def _libm_each(fn):
+    """A `math` function applied to each entry of an array.
+
+    numpy's own exp, cos, cosh, ... round differently from libm on some
+    inputs (its SIMD versions do), so a grid calls the same libm function
+    as a single point, and each entry is bit-identical to the point's value.
+    """
+    return lambda x: np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+#: The operations a closed-form kernel uses besides arithmetic, for one
+#: point (libm itself) and for a grid (libm per entry; np.sqrt is correctly
+#: rounded like math.sqrt).  Arithmetic is IEEE in Python and numpy alike.
+_POINT_OPS = SimpleNamespace(
+    exp=math.exp, cos=math.cos, sin=math.sin, cosh=math.cosh, sinh=math.sinh,
+    sqrt=math.sqrt, clip=_clip_radicand, where=lambda c, x, y: x if c else y,
+)
+_GRID_OPS = SimpleNamespace(
+    exp=_libm_each(math.exp), cos=_libm_each(math.cos), sin=_libm_each(math.sin),
+    cosh=_libm_each(math.cosh), sinh=_libm_each(math.sinh),
+    sqrt=np.sqrt, clip=_clip_radicands, where=np.where,
+)
 
 
 @lru_cache(maxsize=None)
@@ -123,8 +167,7 @@ def _mixed_column(
     p_N s_N are summed left to right by np.add.accumulate, and the zero
     weights past a row's truncation leave its sum unchanged.
     """
-    modes = COHERENT_FAMILY_MODES[tag]
-    means = np.array([modes * _intensity(a) for a in alphas.tolist()])
+    means = COHERENT_FAMILY_MODES[tag] * _intensities(alphas)
     table = _subspace_array(tag, metric)
     out = np.empty(means.size)
     for start in range(0, means.size, GRID_CHUNK):
@@ -140,7 +183,7 @@ def _grid(alpha_abs) -> np.ndarray | None:
     A grid is checked before any point is evaluated: its first NaN or
     negative entry raises the ValueError that point raises on its own.
     """
-    if np.ndim(alpha_abs) == 0:
+    if isinstance(alpha_abs, (float, int)) or np.ndim(alpha_abs) == 0:
         return None
     alphas = np.asarray(alpha_abs, dtype=float)
     if alphas.ndim != 1:
@@ -151,12 +194,33 @@ def _grid(alpha_abs) -> np.ndarray | None:
     return alphas
 
 
-def _pointwise(fn, alpha_abs):
-    """fn(|alpha|) at one point, or an array of per-point values over a grid."""
-    alphas = _grid(alpha_abs)
-    if alphas is None:
-        return fn(alpha_abs)
-    return np.array([fn(a) for a in alphas.tolist()], dtype=float)
+def _closed_form(kernel):
+    """Make kernel(ops, w, *args) of w = |alpha|^2 a function of |alpha|.
+
+    The function takes one |alpha| (and returns a float, with `_POINT_OPS`)
+    or a 1-D grid (checked first by `_grid`; returns an array, with
+    `_GRID_OPS`).  The kernel is one body of code for both, and every square
+    in it is x * x, so each grid entry is bit-identical to its point's
+    value.  numpy warns where a product overflows to inf and Python does
+    not, so a grid runs with overflow warnings off.  A grid whose kernel
+    raises InvalidOverlapError runs its points one at a time, so the error
+    raised is the first failing point's own.
+    """
+
+    @wraps(kernel)
+    def closed_form(alpha_abs, *args, **kwargs):
+        alphas = _grid(alpha_abs)
+        if alphas is None:
+            return kernel(_POINT_OPS, _intensity(alpha_abs), *args, **kwargs)
+        try:
+            with np.errstate(over="ignore"):
+                return kernel(_GRID_OPS, _intensities(alphas), *args, **kwargs)
+        except InvalidOverlapError:
+            for a in alphas.tolist():
+                kernel(_POINT_OPS, _intensity(a), *args, **kwargs)
+            raise
+
+    return closed_form
 
 
 def _mixed(tag: str, metric: str, alpha_abs, tail_tol: float | None):
@@ -171,27 +235,32 @@ def _mixed(tag: str, metric: str, alpha_abs, tail_tol: float | None):
 # two-mode family (one bit in the relative sign of two equal pulses)
 
 
-def two_mode_mixed_pcorr(alpha_abs: float, p_min: float = 0.5) -> float:
+# Each closed form below is a kernel of w = |alpha|^2 made by `_closed_form`
+# into a function of one |alpha| or a 1-D grid, as for `family_pcorr`.
+
+
+@_closed_form
+def two_mode_mixed_pcorr(m, w, p_min: float = 0.5):
     """Helstrom probability 1 - p_min exp(-2|alpha|^2) after phase randomization."""
-    w = _intensity(alpha_abs)
     p = _normalized_prior(p_min)
-    return 1.0 - p * math.exp(-2.0 * w)
+    return 1.0 - p * m.exp(-2.0 * w)
 
 
-def two_mode_pure_pcorr(alpha_abs: float, p_min: float = 0.5) -> float:
+@_closed_form
+def two_mode_pure_pcorr(m, w, p_min: float = 0.5):
     """Helstrom probability for the pure two-mode states.
 
     1/2 + (1/2) sqrt(1 - 4 p (1-p) exp(-4|alpha|^2)).
     """
-    w = _intensity(alpha_abs)
     p = _normalized_prior(p_min)
-    radicand = _clip_radicand(1.0 - 4.0 * p * (1.0 - p) * math.exp(-4.0 * w))
-    return 0.5 + 0.5 * math.sqrt(radicand)
+    radicand = m.clip(1.0 - 4.0 * p * (1.0 - p) * m.exp(-4.0 * w))
+    return 0.5 + 0.5 * m.sqrt(radicand)
 
 
-def two_mode_unambiguous(alpha_abs: float) -> float:
+@_closed_form
+def two_mode_unambiguous(m, w):
     """Success of the optimal unambiguous measurement, 1 - exp(-2|alpha|^2)."""
-    return 1.0 - math.exp(-2.0 * _intensity(alpha_abs))
+    return 1.0 - m.exp(-2.0 * w)
 
 
 # ---------------------------------------------------------------------------
@@ -223,40 +292,42 @@ def _signed_third_power(n: int) -> float:
     return -magnitude if n % 2 else magnitude
 
 
-def three_mode_pure_pcorr(alpha_abs: float) -> float:
+@_closed_form
+def three_mode_pure_pcorr(m, w):
     """Minimum-error probability (1/4) (1 + sqrt(1 - exp(-4|alpha|^2)))^2."""
-    root = math.sqrt(_clip_radicand(1.0 - math.exp(-4.0 * _intensity(alpha_abs))))
-    return 0.25 * (1.0 + root) ** 2
+    bracket = 1.0 + m.sqrt(m.clip(1.0 - m.exp(-4.0 * w)))
+    return 0.25 * (bracket * bracket)
 
 
 # ---------------------------------------------------------------------------
 # four-mode family
 
 
-def four_mode_mixed_pcorr(alpha_abs: float) -> float:
+@_closed_form
+def four_mode_mixed_pcorr(m, w):
     """Minimum-error probability 1 - (3/4) exp(-4|alpha|^2).
 
     A single photon anywhere identifies the state; only the vacuum forces a
     one-in-four guess, so the series collapses to a closed form.
     """
-    return 1.0 - 0.75 * math.exp(-4.0 * _intensity(alpha_abs))
+    return 1.0 - 0.75 * m.exp(-4.0 * w)
 
 
-def four_mode_unambiguous(alpha_abs):
-    """Unambiguous success probability 1 - exp(-4|alpha|^2).
-
-    One |alpha| or a 1-D grid, as for `family_pcorr`.
-    """
-    return _pointwise(lambda a: 1.0 - math.exp(-4.0 * _intensity(a)), alpha_abs)
+@_closed_form
+def four_mode_unambiguous(m, w):
+    """Unambiguous success probability 1 - exp(-4|alpha|^2)."""
+    return 1.0 - m.exp(-4.0 * w)
 
 
-def four_mode_pure_pcorr(alpha_abs: float) -> float:
+@_closed_form
+def four_mode_pure_pcorr(m, w):
     """Minimum-error probability for the pure four-mode states.
 
     (1/16) (sqrt(1 + 3 e) + 3 sqrt(1 - e))^2 with e = exp(-4|alpha|^2).
     """
-    e = math.exp(-4.0 * _intensity(alpha_abs))
-    return (math.sqrt(1.0 + 3.0 * e) + 3.0 * math.sqrt(_clip_radicand(1.0 - e))) ** 2 / 16.0
+    e = m.exp(-4.0 * w)
+    bracket = m.sqrt(1.0 + 3.0 * e) + 3.0 * m.sqrt(m.clip(1.0 - e))
+    return bracket * bracket / 16.0
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +378,8 @@ def _pcorr_subspace_term(tag: str, n: int) -> float:
     return bracket**2 / 8.0
 
 
-def phase_encoded_pure_pcorr(alpha_abs: float) -> float:
+@_closed_form
+def phase_encoded_pure_pcorr(m, w):
     """Minimum-error probability for the pure phase-encoded states.
 
     (e^{-w}/4) (sqrt(cosh w + sqrt(cosh^2 w - cos^2 w))
@@ -317,15 +389,17 @@ def phase_encoded_pure_pcorr(alpha_abs: float) -> float:
     overflows (w > 355.58) the value has long been 1 to rounding, and 1 is
     returned.
     """
-    w = _intensity(alpha_abs)
-    c, s = math.cos(w), math.sin(w)
-    try:
-        ch, sh = math.cosh(w), math.sinh(w)
-        first = math.sqrt(ch + math.sqrt(_clip_radicand(ch**2 - c**2)))
-        second = math.sqrt(sh + math.sqrt(_clip_radicand(sh**2 - s**2)))
-    except OverflowError:
-        return 1.0
-    return math.exp(-w) * (first + second) ** 2 / 4.0
+    c, s = m.cos(w), m.sin(w)
+    # cosh and sinh raise past w = 710.47; cosh(710)^2 already overflows, so
+    # past 710 the capped w gives the same 1 and every factor stays finite
+    capped = m.where(w > 710.0, 710.0, w)
+    ch, sh = m.cosh(capped), m.sinh(capped)
+    ch2 = ch * ch
+    first = m.sqrt(ch + m.sqrt(m.clip(ch2 - c * c)))
+    second = m.sqrt(sh + m.sqrt(m.clip(sh * sh - s * s)))
+    bracket = first + second
+    value = m.exp(-capped) * (bracket * bracket) / 4.0
+    return m.where(ch2 < math.inf, value, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +423,18 @@ def family_pcorr(
         raise ValueError(f"unknown variant {variant!r}")
     if tag == "two_mode":
         if variant == "mixed":
-            return _pointwise(lambda a: two_mode_mixed_pcorr(a, prior), alpha_abs)
-        return _pointwise(lambda a: two_mode_pure_pcorr(a, prior), alpha_abs)
+            return two_mode_mixed_pcorr(alpha_abs, prior)
+        return two_mode_pure_pcorr(alpha_abs, prior)
     if variant == "mixed":
         if tag == "four_mode":
-            return _pointwise(four_mode_mixed_pcorr, alpha_abs)
+            return four_mode_mixed_pcorr(alpha_abs)
         return _mixed(tag, "p_corr", alpha_abs, tail_tol)
     pure = {
         "three_mode": three_mode_pure_pcorr,
         "four_mode": four_mode_pure_pcorr,
         "phase_encoded": phase_encoded_pure_pcorr,
     }[tag]
-    return _pointwise(pure, alpha_abs)
+    return pure(alpha_abs)
 
 
 def delta_pcorr(
@@ -410,30 +484,49 @@ def p1bit_from_overlaps(f_overlap: complex, g_overlap: float) -> float:
     g = float(g_overlap)
     if abs(f) > 1.0 + 1e-12 or abs(g) > 1.0 + 1e-12:
         raise InvalidOverlapError(f"overlaps |F|={abs(f)}, |G|={g} exceed 1")
-    return _p1bit_from_squares(f.real**2, f.imag**2, g)
+    return _p1bit_from_squares(_POINT_OPS, f.real * f.real, f.imag * f.imag, g)
 
 
-def _p1bit_from_squares(re2: float, im2: float, g: float) -> float:
-    """`p1bit_from_overlaps` in terms of (Re F)^2, (Im F)^2 and G."""
-    r = (1.0 + g) ** 2 * im2 + (1.0 - g) ** 2 * re2 - 4.0 * re2 * im2
-    root = math.sqrt(_clip_radicand(r))
-    plus = math.sqrt(_clip_radicand(1.0 - g**2 + 2.0 * root))
-    minus = math.sqrt(_clip_radicand(1.0 - g**2 - 2.0 * root))
+def _p1bit_from_squares(m, re2, im2, g):
+    """`p1bit_from_overlaps` in terms of (Re F)^2, (Im F)^2 and G.
+
+    Floats, or arrays of one grid's values entry by entry.
+    """
+    one_plus, one_minus = 1.0 + g, 1.0 - g
+    r = one_plus * one_plus * im2 + one_minus * one_minus * re2 - 4.0 * re2 * im2
+    root = m.sqrt(m.clip(r))
+    g2 = g * g
+    plus = m.sqrt(m.clip(1.0 - g2 + 2.0 * root))
+    minus = m.sqrt(m.clip(1.0 - g2 - 2.0 * root))
     return 0.5 * (1.0 + 0.5 * plus + 0.5 * minus)
+
+
+def _pure_overlap_parts(m, tag: str, w):
+    """(Re F, Im F, G) of the pure overlaps at w = |alpha|^2, a float or an array."""
+    if tag == "three_mode":
+        return m.exp(-2.0 * w), 0.0, m.exp(-4.0 * w)
+    if tag == "four_mode":
+        e = m.exp(-4.0 * w)
+        return e, 0.0, e
+    decay = m.exp(-w)
+    return decay * m.cos(w), decay * m.sin(w), m.exp(-2.0 * w)
 
 
 def pure_overlaps(family, alpha_abs: float) -> tuple[complex, float]:
     """(F, G) pairwise overlaps of the pure four-state coherent families."""
     tag = _family_tag(family)
     w = _intensity(alpha_abs)
-    if tag == "three_mode":
-        return complex(math.exp(-2.0 * w)), math.exp(-4.0 * w)
-    if tag == "four_mode":
-        e = math.exp(-4.0 * w)
-        return complex(e), e
-    if tag == "phase_encoded":
-        return math.exp(-w) * complex(math.cos(w), math.sin(w)), math.exp(-2.0 * w)
-    raise ValueError(f"{tag} does not encode two bits in four states")
+    if tag not in FOUR_STATE_FAMILIES:
+        raise ValueError(f"{tag} does not encode two bits in four states")
+    re, im, g = _pure_overlap_parts(_POINT_OPS, tag, w)
+    return complex(re, im), g
+
+
+@_closed_form
+def _pure_p1bit(m, w, tag: str):
+    """Pure-state p_1bit of a four-state family: the overlap formula."""
+    re, im, g = _pure_overlap_parts(m, tag, w)
+    return _p1bit_from_squares(m, re * re, im * im, g)
 
 
 def subspace_overlaps(family, photons: int) -> np.ndarray:
@@ -482,7 +575,7 @@ def _p1bit_subspace_term(tag: str, n: int) -> float:
     # phase_encoded: G_N = 0 and |F_N|^2 = 2^-N with exact quarter-turn parts
     re2 = math.ldexp(_cos2_quarter(n), -n)
     im2 = math.ldexp(_sin2_quarter(n), -n)
-    return _p1bit_from_squares(re2, im2, 0.0)
+    return _p1bit_from_squares(_POINT_OPS, re2, im2, 0.0)
 
 
 def family_p1bit(family, variant: str, alpha_abs, tail_tol: float | None = None):
@@ -499,7 +592,7 @@ def family_p1bit(family, variant: str, alpha_abs, tail_tol: float | None = None)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "pure":
-        return _pointwise(lambda a: p1bit_from_overlaps(*pure_overlaps(tag, a)), alpha_abs)
+        return _pure_p1bit(alpha_abs, tag)
     return _mixed(tag, "p_1bit", alpha_abs, tail_tol)
 
 

@@ -4,11 +4,14 @@ benchmarks/spans.py wraps each function listed in its LAYERS table by name,
 and the benchmark's Gram-route check reads fields of phase_rand.decompose.
 A rename or deletion would otherwise surface only when the traced run breaks.
 The benchmark also counts a raised CapacityError as an expected refusal but
-any non-zero exit code as a wrong answer.
+any non-zero exit code as a wrong answer, and compares every curve_sweep
+CSV with its stored reference.
 """
 
+import functools
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,15 +20,22 @@ from qsd import cli, phase_rand
 from qsd.fock import CapacityError
 from qsd.symmetric import SymmetricFamilySpec
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+@functools.lru_cache(maxsize=None)
+def _benchmark_module(name: str):
+    # spans.py and workloads.py import only the standard library, so each
+    # loads on its own; dataclasses look their module up in sys.modules
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def _layers() -> dict[str, tuple[str, ...]]:
-    # spans.py imports only the standard library, so it loads on its own
-    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.LAYERS
+    return _benchmark_module("spans").LAYERS
 
 
 @pytest.mark.parametrize("module", sorted(_layers()))
@@ -50,3 +60,17 @@ def test_photon_cap_raises_capacity_error(capsys):
         cli.main(["curve", "--family", "three_mode", "--metric", "p_corr",
                   "--alpha", "0:10:3"])
     assert capsys.readouterr().out == ""
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_reference() -> dict[tuple[str, str], str]:
+    return _benchmark_module("workloads").load_sweep_reference()
+
+
+@pytest.mark.parametrize("metric, family", _benchmark_module("workloads").CURVE_PAIRS)
+def test_sweep_matches_reference_byte_for_byte(capsys, metric, family):
+    # the benchmark accepts 12-digit agreement; any change of a printed digit
+    # (a 1-ulp drift in a delta_p_corr column can make one) fails here first
+    workloads = _benchmark_module("workloads")
+    assert cli.main(workloads.sweep_argv(metric, family)) == 0
+    assert capsys.readouterr().out == _sweep_reference()[(metric, family)]

@@ -2,6 +2,8 @@
 
 import io
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +72,18 @@ def test_column_equals_single_points(series, tail_tol, alphas):
 def test_documented_grid_column_equals_single_points(metric, family, variant):
     fn = lambda a: FUNCTIONS[metric](family, variant, a, None)  # noqa: E731
     assert_column_matches_points(fn, np.linspace(0.0, 4.0, 301))
+
+
+#: Points of the 0:8:1610 grid where a ** 2 (libm pow) and a * a differ.
+POW_SQUARE_DIFFERS = [1.0490988191423243, 2.0981976382846486, 4.196395276569297]
+
+
+@pytest.mark.parametrize("metric, family, variant", SERIES)
+def test_column_equals_single_points_where_pow_differs(metric, family, variant):
+    # a point squared by pow and a grid by multiplication differ here
+    assert all(a**2 != a * a for a in POW_SQUARE_DIFFERS)
+    fn = lambda a: FUNCTIONS[metric](family, variant, a, None)  # noqa: E731
+    assert_column_matches_points(fn, POW_SQUARE_DIFFERS)
 
 
 def test_float_in_float_out():
@@ -189,3 +203,92 @@ def test_curve_makes_no_per_point_poisson_series_call(series_calls):
                 calls.append(len(series_calls))
                 series_calls.clear()
             assert calls[0] == calls[1] <= len(request.variants) * 2
+
+
+def _last_float_where(holds, lo: float, hi: float) -> float:
+    """Largest float in [lo, hi) where a monotone predicate holds (it does at lo)."""
+    while math.nextafter(lo, math.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            mid = math.nextafter(lo, math.inf)
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
+def _cosh_square_finite(a: float) -> bool:
+    ch = math.cosh(min(a * a, 710.0))
+    return ch * ch < math.inf
+
+
+#: Last |alpha| where cosh^2 |alpha|^2 is finite (18.857), and last where
+#: |alpha|^2 is (sqrt of the largest float, 1.34e154).
+COSH_BORDER = _last_float_where(_cosh_square_finite, 18.0, 20.0)
+SQUARE_BORDER = _last_float_where(lambda a: a * a < math.inf, 1e154, 2e154)
+
+EDGE_GRID = [
+    0.0, 5e-324, 1e-160,
+    COSH_BORDER, math.nextafter(COSH_BORDER, math.inf),
+    SQUARE_BORDER, math.nextafter(SQUARE_BORDER, math.inf),
+    1e300, math.inf,
+]
+
+#: Every closed form a curve can ask for: name, function of |alpha|, value
+#: at |alpha| = 0 (the guessing level) and in the large-|alpha| limit.
+CLOSED_FORMS = [
+    (f"p_corr {family} pure", lambda a, f=family: disc.family_pcorr(f, "pure", a), guess, 1.0)
+    for family, guess in (("two_mode", 0.5), ("three_mode", 0.25), ("four_mode", 0.25),
+                          ("phase_encoded", 0.25))
+] + [
+    ("p_corr two_mode mixed", lambda a: disc.family_pcorr("two_mode", "mixed", a), 0.5, 1.0),
+    ("p_corr two_mode mixed prior 0.25",
+     lambda a: disc.family_pcorr("two_mode", "mixed", a, prior=0.25), 0.75, 1.0),
+    ("p_corr two_mode pure prior 0.25",
+     lambda a: disc.family_pcorr("two_mode", "pure", a, prior=0.25), 0.75, 1.0),
+    ("p_corr four_mode mixed", lambda a: disc.family_pcorr("four_mode", "mixed", a), 0.25, 1.0),
+    ("p_unambiguous four_mode", disc.four_mode_unambiguous, 0.0, 1.0),
+    ("p_unambiguous two_mode", disc.two_mode_unambiguous, 0.0, 1.0),
+    ("delta_p_corr two_mode", lambda a: disc.delta_pcorr("two_mode", a), 0.0, 0.0),
+    ("delta_p_corr four_mode", lambda a: disc.delta_pcorr("four_mode", a), 0.0, 0.0),
+] + [
+    (f"{metric} {family} pure", lambda a, f=family, fn=fn: fn(f, "pure", a), guess, 1.0)
+    for metric, fn, guess in (("p_1bit", disc.family_p1bit, 0.5), ("b_ot", disc.family_bot, 0.25))
+    for family in disc.FOUR_STATE_FAMILIES
+]
+
+
+@pytest.mark.parametrize("name, fn, guess, limit", CLOSED_FORMS, ids=[c[0] for c in CLOSED_FORMS])
+def test_closed_form_edges(name, fn, guess, limit):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = [fn(a) for a in EDGE_GRID]
+        column = fn(np.array(EDGE_GRID))
+    assert all(type(v) is float for v in points)
+    assert np.array_equal(column, points)
+    # |alpha|^2 underflows to 0 or exp(-k |alpha|^2) rounds to 1 below 1e-160;
+    # from the cosh^2 border up (|alpha|^2 > 355) each exp(-k |alpha|^2) is
+    # below 1e-154, and every value rounds to its limit
+    assert points[:3] == [guess] * 3
+    assert points[3:] == [limit] * (len(EDGE_GRID) - 3)
+
+
+def test_intensity_saturates_at_the_largest_float():
+    squares = disc._intensities(np.array(EDGE_GRID))
+    assert squares.tolist() == [disc._intensity(a) for a in EDGE_GRID]
+    assert squares[-3:].tolist() == [sys.float_info.max] * 3
+    assert squares[-4] == SQUARE_BORDER * SQUARE_BORDER < sys.float_info.max
+
+
+def test_column_raises_first_failing_points_overlap_error():
+    # the first radicand fails at |alpha| = 1.5 only, the second at 0.1 only:
+    # a column evaluated radicand by radicand would report 1.5
+    @disc._closed_form
+    def kernel(m, w):
+        return m.sqrt(m.clip(1.0 - w)) + m.sqrt(m.clip(w - 0.25))
+
+    alphas = [0.9, 0.1, 1.5]
+    with pytest.raises(disc.InvalidOverlapError) as point:
+        for a in alphas:
+            kernel(a)
+    with pytest.raises(disc.InvalidOverlapError) as column:
+        kernel(np.array(alphas))
+    assert str(column.value) == str(point.value) == "radicand -2.400e-01 below -1e-12"
