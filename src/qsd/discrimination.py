@@ -657,8 +657,16 @@ def phase_encoded_ot_crossover(tail_tol: float | None = None) -> CrossoverReport
     |alpha| in [0, 4]; a candidate needs an exact advantage of 1e-9.
     """
     alpha_max, grid_points = 4.0, 801
-    pure_p_of = lambda a: family_p1bit("phase_encoded", "pure", a, tail_tol)
-    mixed_p_of = lambda a: family_p1bit("phase_encoded", "mixed", a, tail_tol)
+
+    # the bisections of nearby targets share their first midpoints, so each
+    # single |alpha| is evaluated once
+    @lru_cache(maxsize=None)
+    def pure_p_of(a: float) -> float:
+        return family_p1bit("phase_encoded", "pure", a, tail_tol)
+
+    @lru_cache(maxsize=None)
+    def mixed_p_of(a: float) -> float:
+        return family_p1bit("phase_encoded", "mixed", a, tail_tol)
 
     def exact_advantage(v: float) -> float:
         a_pure = _invert_monotone(pure_p_of, v, 0.0, alpha_max)
@@ -668,9 +676,9 @@ def phase_encoded_ot_crossover(tail_tol: float | None = None) -> CrossoverReport
         )
 
     alphas = np.linspace(0.0, alpha_max, grid_points)
-    pure_p = pure_p_of(alphas)
+    pure_p = family_p1bit("phase_encoded", "pure", alphas, tail_tol)
     pure_b = family_bot("phase_encoded", "pure", alphas, tail_tol)
-    mixed_p = mixed_p_of(alphas)
+    mixed_p = family_p1bit("phase_encoded", "mixed", alphas, tail_tol)
     mixed_b = family_bot("phase_encoded", "mixed", alphas, tail_tol)
 
     lo = max(pure_p[0], mixed_p[0])

@@ -286,7 +286,7 @@ def hermitian_eig(m: np.ndarray, sweep_cap: int = 100) -> SpectralDecomposition:
         return _sorted_decomposition(np.real(np.diag(a)), v)
     target = OFF_DIAGONAL_TOLERANCE * norm0
     skip = target / d
-    rounds = _merged_rounds(_components(a))
+    rounds = None  # the schedule, looked up only if a sweep is needed
 
     sweeps = 0
     while (off := _off_diagonal_norm(a)) >= target:
@@ -296,6 +296,8 @@ def hermitian_eig(m: np.ndarray, sweep_cap: int = 100) -> SpectralDecomposition:
                 f"(off-diagonal residual {off:.3e}, target {target:.3e})",
                 residual=off,
             )
+        if rounds is None:
+            rounds = _merged_rounds(_component_labels(a))
         for p, q in rounds:
             apq = a[p, q]
             mag = np.abs(apq)
@@ -313,16 +315,20 @@ def _off_diagonal_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def _components(a: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of a's exact nonzero pattern.
+def _component_labels(a: np.ndarray) -> tuple[int, ...]:
+    """Each index's connected component in a's exact nonzero pattern, named
+    by the component's smallest index.
 
-    Each index takes the smallest label among itself and its neighbours,
-    then the label of that label, until nothing changes: labels only fall
-    and stay inside the component, so each ends at the component's minimum.
+    With no zero off the diagonal there is one component and no search.
+    Otherwise each index takes the smallest label among itself and its
+    neighbours, then the label of that label, until nothing changes: labels
+    only fall and stay inside the component, so each ends at its minimum.
     """
     d = len(a)
     nonzero = a != 0
     np.fill_diagonal(nonzero, True)
+    if nonzero.all():
+        return (0,) * d
     labels = np.arange(d)
     while True:
         lowest = np.where(nonzero, labels, d).min(axis=1)
@@ -330,8 +336,19 @@ def _components(a: np.ndarray) -> list[np.ndarray]:
         if (lowest == labels).all():
             break
         labels = lowest
+    return tuple(labels.tolist())
+
+
+def _split_components(labels: tuple[int, ...]) -> list[np.ndarray]:
+    """Index sets of the components named by `labels`, in label order."""
+    labels = np.array(labels)
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+def _components(a: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of a's exact nonzero pattern."""
+    return _split_components(_component_labels(a))
 
 
 @lru_cache(maxsize=None)
@@ -356,20 +373,25 @@ def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
+@lru_cache(maxsize=None)
 def _merged_rounds(
-    components: list[np.ndarray],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Round r of a sweep: round r of every component's schedule at once."""
-    parts = [(_round_robin(len(c)), c) for c in components if len(c) > 1]
+    labels: tuple[int, ...],
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Round r of a sweep: round r of every component's schedule at once.
+
+    Cached per component structure (`_component_labels`); read-only arrays.
+    """
+    parts = [(_round_robin(len(c)), c) for c in _split_components(labels) if len(c) > 1]
     if not parts:
-        return []
+        return ()
     rnd = np.concatenate([r for (r, _p, _q), _c in parts])
     p = np.concatenate([c[lp] for (_r, lp, _q), c in parts])
     q = np.concatenate([c[lq] for (_r, _p, lq), c in parts])
     order = np.argsort(rnd, kind="stable")
     p, q = p[order], q[order]
+    p.flags.writeable = q.flags.writeable = False
     ends = np.cumsum(np.bincount(rnd)).tolist()
-    return [(p[i:j], q[i:j]) for i, j in zip([0] + ends, ends)]
+    return tuple((p[i:j], q[i:j]) for i, j in zip([0] + ends, ends))
 
 
 def _rotate(

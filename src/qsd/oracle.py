@@ -194,6 +194,20 @@ def srm_success_pure(vectors: Sequence[np.ndarray]) -> float:
     return success
 
 
+def block_average(terms: Sequence[float], weights: Sequence[float]) -> float:
+    """sum_N p_N * s_N in block order: per-block successes, Poisson-averaged.
+
+    s_N, the SRM success of block N's states, does not depend on p_N, so a
+    caller may compute each once and average it under many weight sequences.
+    """
+    if len(terms) != len(weights):
+        raise ValueError("one weight per block required")
+    weights = np.asarray(weights, dtype=float)
+    if not weights.min() >= 0.0 or weights.sum() > 1.0 + 1e-12:  # also rejects nan
+        raise ValueError("weights must be a (truncated) probability sequence")
+    return float(sum(w * s for s, w in zip(terms, weights)))
+
+
 def block_srm(
     blocks: Sequence[Sequence[np.ndarray]],
     weights: Sequence[float],
@@ -204,12 +218,7 @@ def block_srm(
     (as vectors); the result is sum_N p_N * SRM success in block N, each
     block reduced exactly to the span of its states.
     """
-    if len(blocks) != len(weights):
-        raise ValueError("one weight per block required")
-    weights = np.asarray(weights, dtype=float)
-    if not weights.min() >= 0.0 or weights.sum() > 1.0 + 1e-12:  # also rejects nan
-        raise ValueError("weights must be a (truncated) probability sequence")
-    return float(sum(w * srm_success_pure(block) for block, w in zip(blocks, weights)))
+    return block_average([srm_success_pure(block) for block in blocks], weights)
 
 
 def whole_matrix_srm(

@@ -205,11 +205,11 @@ def decompose(
     builds the Gram matrix of the four (or two) pure N-photon states in each
     retained subspace.
     """
-    weights, blocks = subspace_state_blocks(spec, tail_tol)
+    weights = np.array(poisson_series(spec.mean_photons, tail_tol))
     return SubspaceOverlapSeries(
         n_max=len(weights) - 1,
         weights=weights,
-        per_n_gram=tuple(symmetric.gram_matrix(states) for states in blocks),
+        per_n_gram=tuple(symmetric.subspace_gram(spec, n) for n in range(len(weights))),
         tail_mass=float(1.0 - weights.sum()),
     )
 
@@ -294,16 +294,24 @@ def randomized_blocks(
 ) -> Iterator[np.ndarray]:
     """Yield the blocks p_N |psi_N><psi_N| for N = 0..n_max, one at a time.
 
-    Each block is a fresh array the caller owns and may overwrite.  The
-    generator drops its own reference on resuming, so a caller that drops
-    its reference before asking for the next block holds one block at most.
+    Each block is a fresh C-contiguous array the caller owns and may
+    overwrite.  It is written in one pass, 64 rows at a time: each row chunk
+    of the outer product is scaled by p_N through the float view while it is
+    still in cache (the values of complex * real, without the zero imaginary
+    products).  The generator drops its own references on resuming, so a
+    caller that drops its reference before asking for the next block holds
+    one block at most.
     """
     for n, weight in enumerate(poisson_weights(state.mean_photons, n_max)):
         vec = _subspace_component(state, n)
-        block = np.outer(vec, vec.conj())
-        block *= weight  # in place: one block-sized temporary, not two
+        conj = vec.conj()
+        block = np.empty((len(vec), len(vec)), dtype=np.complex128)
+        parts = block.view(np.float64)
+        for rows in range(0, len(vec), 64):
+            np.outer(vec[rows : rows + 64], conj, out=block[rows : rows + 64])
+            parts[rows : rows + 64] *= weight
         yield block
-        del block  # else it stays alive while the next np.outer allocates
+        del block, parts  # else they stay alive while the next block allocates
 
 
 def phase_randomized_state(

@@ -10,6 +10,7 @@ measurement success probability from Gram eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -148,24 +149,41 @@ def subspace_states(spec: SymmetricFamilySpec, photons: int) -> list[np.ndarray]
     All member states share the same per-mode magnitude, so within one
     photon-number subspace the state is independent of |alpha|: component
     phases come from the per-mode i-powers and magnitudes from 1/sqrt(prod n!),
-    normalized numerically.
+    normalized numerically.  The vectors are built once per (modes, phase
+    exponents, N) and shared read-only; the list is the caller's own.
     """
+    return list(_subspace_states(*_block_key(spec, photons)))
+
+
+def _block_key(
+    spec: SymmetricFamilySpec, photons: int
+) -> tuple[int, tuple[tuple[int, ...], ...], int]:
+    """(modes, phase exponents, N): all an N-photon block depends on."""
     if not spec.is_coherent:
         raise ValueError(f"{spec.family_tag} has no Fock structure")
     if photons < 0:
         raise ValueError(f"negative photon number {photons}")
-    basis = fock.enumerate_subspace(spec.modes, photons)
+    return spec.modes, spec.phase_exponents(), photons
+
+
+@lru_cache(maxsize=None)
+def _subspace_states(
+    modes: int, exponents: tuple[tuple[int, ...], ...], photons: int
+) -> tuple[np.ndarray, ...]:
+    basis = fock.enumerate_subspace(modes, photons)
     occ = basis.occupation_array
     lf = fock.log_factorials(photons)
     log_mag = -0.5 * lf[occ].sum(axis=1)
     mag = np.exp(log_mag - log_mag.max())
     norm = np.linalg.norm(mag)
     states = []
-    for exps in spec.phase_exponents():
+    for exps in exponents:
         ipow = (occ @ np.array(exps, dtype=np.int64)) % 4
         phases = np.array(_I_POWERS)[ipow]
-        states.append(mag * phases / norm)
-    return states
+        state = mag * phases / norm
+        state.flags.writeable = False
+        states.append(state)
+    return tuple(states)
 
 
 def gram_matrix(states: Sequence[np.ndarray]) -> GramMatrix:
@@ -194,6 +212,23 @@ def gram_matrix(states: Sequence[np.ndarray]) -> GramMatrix:
         entries = np.array([[row[(k - i) % size] for k in range(size)] for i in range(size)])
         return GramMatrix(size, entries, True, row)
     return GramMatrix(size, entries, False, None)
+
+
+def subspace_gram(spec: SymmetricFamilySpec, photons: int) -> GramMatrix:
+    """`gram_matrix(subspace_states(spec, photons))`, built once per
+    (modes, phase exponents, N) and shared read-only, like the states."""
+    return _subspace_gram(*_block_key(spec, photons))
+
+
+@lru_cache(maxsize=None)
+def _subspace_gram(
+    modes: int, exponents: tuple[tuple[int, ...], ...], photons: int
+) -> GramMatrix:
+    gram = gram_matrix(_subspace_states(modes, exponents, photons))
+    gram.entries.flags.writeable = False
+    if gram.generator_row is not None:
+        gram.generator_row.flags.writeable = False
+    return gram
 
 
 def circulant_eigenvalues(g: GramMatrix) -> np.ndarray:

@@ -21,11 +21,24 @@ from .symmetric import SymmetricFamilySpec
 SUITE_NAMES = ("fock", "gram", "families", "appendix_a", "appendix_b", "circuit")
 
 
+#: Tolerance of a yes/no check, whose error is 0.0 (holds) or 1.0 (fails).
+BOOLEAN_TOL = 1.0
+
+
 @dataclass(frozen=True)
 class CheckResult:
+    """One check: passed iff error < tol; `tol` is None only for rows built
+    by hand outside the suites."""
+
     check_id: str
     passed: bool
     error: float
+    tol: float | None = None
+
+    @property
+    def margin(self) -> float | None:
+        """Share of the tolerance the error uses: a check fails at 1 or above."""
+        return None if self.tol is None else self.error / self.tol
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -33,7 +46,12 @@ class CheckResult:
 
 
 def _check(check_id: str, error: float, tol: float) -> CheckResult:
-    return CheckResult(check_id, bool(error < tol), float(error))
+    return CheckResult(check_id, bool(error < tol), float(error), tol)
+
+
+def _holds(check_id: str, holds: bool) -> CheckResult:
+    """A yes/no check on the common scale: error 0.0 or 1.0 at BOOLEAN_TOL."""
+    return _check(check_id, 0.0 if holds else 1.0, BOOLEAN_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +138,9 @@ def suite_gram() -> list[CheckResult]:
     for tag in disc.COHERENT_FAMILIES:
         spec = SymmetricFamilySpec(tag, 1.0)
         for n in range(0, 21):
-            gram = symmetric.gram_matrix(symmetric.subspace_states(spec, n))
+            gram = symmetric.subspace_gram(spec, n)
             if not gram.circulant:
-                return [CheckResult(f"gram.circulant_structure.{tag}", False, 1.0)]
+                return [_holds(f"gram.circulant_structure.{tag}", False)]
             dft = np.sort(symmetric.circulant_eigenvalues(gram))
             dense = np.sort(fock.hermitian_eig(gram.entries).eigenvalues)
             worst = max(worst, float(np.max(np.abs(dft - dense))))
@@ -133,7 +151,7 @@ def suite_gram() -> list[CheckResult]:
     for tag in disc.COHERENT_FAMILIES:
         spec = SymmetricFamilySpec(tag, 0.9)
         for n in range(0, 31):
-            gram = symmetric.gram_matrix(symmetric.subspace_states(spec, n))
+            gram = symmetric.subspace_gram(spec, n)
             row = disc.subspace_overlaps(tag, n)
             worst = max(worst, float(np.max(np.abs(gram.entries[0] - row))))
     results.append(_check("gram.closed_form_overlaps", worst, 1e-12))
@@ -155,11 +173,27 @@ def suite_gram() -> list[CheckResult]:
 
 
 @lru_cache(maxsize=None)
+def _block_srm_term(tag: str, photons: int) -> float:
+    """Oracle SRM success of a family's N-photon block, once per process.
+
+    The block's states do not depend on |alpha|, so neither does this.
+    """
+    states = symmetric.subspace_states(SymmetricFamilySpec(tag), photons)
+    return oracle.srm_success_pure(states)
+
+
+@lru_cache(maxsize=None)
 def _block_srm_success(tag: str, alpha: float, tail_tol: float) -> float:
-    """Block-oracle SRM success of a mixed coherent family, once per process."""
-    spec = SymmetricFamilySpec(tag, alpha)
-    weights, blocks = phase_rand.subspace_state_blocks(spec, tail_tol)
-    return oracle.block_srm(blocks, weights)
+    """Block-oracle SRM success of a mixed coherent family, once per process.
+
+    Equals `oracle.block_srm` on `phase_rand.subspace_state_blocks` bit for
+    bit: the same per-block successes, summed with the same weights in the
+    same order; only the successes are shared between the |alpha| values.
+    """
+    mean = SymmetricFamilySpec(tag, alpha).mean_photons
+    weights = phase_rand.poisson_series(mean, tail_tol)
+    terms = [_block_srm_term(tag, n) for n in range(len(weights))]
+    return oracle.block_average(terms, weights)
 
 
 def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
@@ -244,7 +278,7 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
     report = disc.phase_encoded_ot_crossover(tail_tol=tail_tol)
     lower = report.lower_bound
     if lower is None:
-        results.append(CheckResult("families.phase_encoded_crossover", False, 1.0))
+        results.append(_holds("families.phase_encoded_crossover", False))
     else:
         results.append(_check("families.phase_encoded_crossover", abs(lower - 0.8), 0.1))
     return results
@@ -254,30 +288,42 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
 # appendix_a: direct-sum structure of phase-randomized states
 
 
-def _rank1_projector_defect(u: np.ndarray) -> float:
-    """||u - w w^+||_F + | ||w||^2 - 1 |, zero iff u is a rank-1 projector.
+def _rank1_projector_defect(u: np.ndarray, p: float = 1.0) -> float:
+    """||u/p - w w^+||_F + | ||w||^2 - 1 |, zero iff u/p is a rank-1 projector.
 
-    w = u[:, j] / sqrt(u_jj) for the column j with the largest real diagonal,
-    or w = 0 when no diagonal is positive (then u is no rank-1 projector and
-    the defect is ||u||_F + 1).  O(d^2); overwrites u.
+    w = (u/p)[:, j] / sqrt((u/p)_jj) for the column j with the largest real
+    diagonal, or w = 0 when no diagonal is positive (then u/p is no rank-1
+    projector and the defect is ||u/p||_F + 1).  u/p is formed as u * (1/p)
+    on the float view, which is what numpy computes for complex / real, so
+    the result equals the defect of `u / p` bit for bit.  O(d^2), in two
+    passes over u; overwrites u, which must be C-contiguous.
     """
-    j = int(np.argmax(u.diagonal().real))
-    pivot = float(u[j, j].real)
-    w = u[:, j] / math.sqrt(pivot) if pivot > 0.0 else np.zeros(u.shape[0], complex)
+    scale = 1.0 / p
+    diagonal = u.diagonal().real * scale
+    j = int(np.argmax(diagonal))
+    pivot = float(diagonal[j])
+    if pivot > 0.0:
+        w = u[:, j] * scale / math.sqrt(pivot)
+    else:
+        w = np.zeros(u.shape[0], complex)
+    w_conj = w.conj()
+    parts = u.view(np.float64)
     squared = 0.0
     for rows in range(0, len(w), 64):  # in row chunks: no u-sized temporary
+        parts[rows : rows + 64] *= scale  # renormalize while in cache
         chunk = u[rows : rows + 64]
-        chunk -= np.outer(w[rows : rows + 64], w.conj())
-        squared += float(np.vdot(chunk, chunk).real)  # while still in cache
+        chunk -= np.outer(w[rows : rows + 64], w_conj)
+        squared += float(np.vdot(chunk, chunk).real)
     return math.sqrt(squared) + abs(float(np.vdot(w, w).real) - 1.0)
 
 
 def _block_purity_defect(spec: SymmetricFamilySpec) -> float:
     """Worst rank-1 projector defect of every member's renormalized blocks.
 
-    Blocks are streamed from `randomized_blocks`, renormalized in place and
-    dropped before the next is built, so one block is held at a time (not
-    via `zip`/`enumerate`: their reused result tuple keeps the last block).
+    Blocks are streamed from `randomized_blocks` and renormalized inside the
+    defect's row chunks, then dropped before the next is built, so one block
+    is held at a time (not via `zip`/`enumerate`: their reused result tuple
+    keeps the last block).
     """
     n_max = phase_rand.truncation_photon_number(spec.mean_photons, 1e-10)
     weights = phase_rand.poisson_weights(spec.mean_photons, n_max)
@@ -286,8 +332,7 @@ def _block_purity_defect(spec: SymmetricFamilySpec) -> float:
         state = phase_rand.CoherentStateVector(tuple(amplitudes))
         p_n = iter(weights)
         for block in phase_rand.randomized_blocks(state, n_max):
-            block /= next(p_n)
-            worst = max(worst, _rank1_projector_defect(block))
+            worst = max(worst, _rank1_projector_defect(block, next(p_n)))
             del block
     return worst
 
@@ -402,9 +447,7 @@ def suite_circuit() -> list[CheckResult]:
         for name, mode in fig3.detectors:
             if name != hot[0]:
                 worst_leak = max(worst_leak, abs(out[mode]))
-    results.append(
-        CheckResult("circuit.fig3_identification_map", map_ok, 0.0 if map_ok else 1.0)
-    )
+    results.append(_holds("circuit.fig3_identification_map", map_ok))
     results.append(_check("circuit.fig3_exclusivity", worst_leak, 1e-12))
     results.append(_check("circuit.fig3_hot_amplitude", worst_amp, 1e-12))
 

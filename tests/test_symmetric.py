@@ -98,6 +98,64 @@ class TestSubspaceStates:
                 assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-13)
 
 
+class TestSubspaceMemo:
+    """The N-photon states and Gram matrices are built once and shared."""
+
+    def test_shared_arrays_are_read_only(self):
+        states = symmetric.subspace_states(SymmetricFamilySpec("four_mode", 0.7), 3)
+        with pytest.raises(ValueError):
+            states[0][0] = 0.0
+        with pytest.raises(ValueError):
+            states[1] *= 2.0
+        gram = symmetric.subspace_gram(SymmetricFamilySpec("four_mode", 0.7), 3)
+        with pytest.raises(ValueError):
+            gram.entries[0, 1] = 0.0
+        with pytest.raises(ValueError):
+            gram.generator_row[1] = 0.0
+
+    def test_list_is_the_callers_own(self):
+        spec = SymmetricFamilySpec("two_mode", 0.5)
+        mine = symmetric.subspace_states(spec, 2)
+        mine.reverse()
+        mine.append(None)
+        again = symmetric.subspace_states(spec, 2)
+        assert len(again) == 2 and again[0] is mine[1]
+
+    def test_memo_equals_a_fresh_build(self):
+        # run the verify suites that read the memo, then rebuild every block
+        from qsd import verify
+
+        verify.run_suite("gram")
+        verify.run_suite("families")
+        build = symmetric._subspace_states.__wrapped__
+        for tag in COHERENT_TAGS:
+            spec = SymmetricFamilySpec(tag, 0.9)
+            for photons in range(0, 31):
+                shared = symmetric.subspace_states(spec, photons)
+                fresh = build(spec.modes, spec.phase_exponents(), photons)
+                assert len(shared) == len(fresh) == spec.n_states
+                for a, b in zip(shared, fresh):
+                    assert np.array_equal(a, b)
+                gram = symmetric.subspace_gram(spec, photons).entries
+                assert np.array_equal(gram, symmetric.gram_matrix(fresh).entries)
+
+    @pytest.mark.parametrize("tag", COHERENT_TAGS)
+    def test_states_do_not_depend_on_alpha(self, tag):
+        for photons in (0, 1, 4, 9):
+            low = symmetric.subspace_states(SymmetricFamilySpec(tag, 0.3), photons)
+            high = symmetric.subspace_states(SymmetricFamilySpec(tag, 1.2), photons)
+            assert all(a is b for a, b in zip(low, high))
+            gram_low = symmetric.subspace_gram(SymmetricFamilySpec(tag, 0.3), photons)
+            assert gram_low is symmetric.subspace_gram(SymmetricFamilySpec(tag, 1.2), photons)
+
+    def test_argument_checks(self):
+        for fn in (symmetric.subspace_states, symmetric.subspace_gram):
+            with pytest.raises(ValueError):
+                fn(SymmetricFamilySpec("qutrit"), 1)
+            with pytest.raises(ValueError):
+                fn(SymmetricFamilySpec("two_mode", 0.5), -1)
+
+
 class TestGramMatrix:
     def test_identical_states_all_ones(self):
         v = np.array([1.0, 0.0], dtype=complex)

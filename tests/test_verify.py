@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsd import oracle, verify
-from qsd.symmetric import SymmetricFamilySpec
+from qsd import discrimination as disc
+from qsd import oracle, phase_rand, verify
+from qsd.discrimination import CrossoverReport
+from qsd.symmetric import GramMatrix, SymmetricFamilySpec
 
 #: The check ids `qsd verify all` prints, in order, as the benchmark expects.
 REFERENCE_IDS = Path(__file__).resolve().parents[1] / "benchmarks/reference/verify_checks.txt"
@@ -30,6 +32,54 @@ def test_report_line_format():
     assert line == "PASS  demo.check  1.500e-11"
     line = verify.CheckResult("demo.check", False, 2.0).line()
     assert line.startswith("FAIL  demo.check")
+
+
+def test_line_does_not_show_tol():
+    assert verify.CheckResult("demo.check", True, 1.5e-11, 1e-10).line() == (
+        "PASS  demo.check  1.500e-11"
+    )
+    assert verify.CheckResult("demo.check", False, 2.0, 1e-9).line() == (
+        "FAIL  demo.check  2.000e+00"
+    )
+
+
+def test_every_check_records_tol_and_margin(all_results):
+    for r in all_results:
+        assert r.tol is not None and r.tol > 0.0, r.check_id
+        assert r.margin == r.error / r.tol
+        assert r.passed == (r.margin < 1.0)
+    by_id = {r.check_id: r for r in all_results}
+    assert by_id["families.closed_form_vs_block_srm"].tol == 1e-8
+    booleans = by_id["circuit.fig3_identification_map"]
+    assert (booleans.tol, booleans.error, booleans.margin) == (verify.BOOLEAN_TOL, 0.0, 0.0)
+
+
+def test_hand_built_row_has_no_margin():
+    assert verify.CheckResult("demo.check", True, 0.5).margin is None
+
+
+@pytest.mark.parametrize("holds,line,margin", [
+    (True, "PASS  demo.flag  0.000e+00", 0.0),
+    (False, "FAIL  demo.flag  1.000e+00", 1.0),
+])
+def test_yes_no_checks_use_the_boolean_tol(holds, line, margin):
+    result = verify._holds("demo.flag", holds)
+    assert (result.line(), result.margin, result.passed) == (line, margin, holds)
+
+
+def test_non_circulant_gram_fails_with_a_tol(monkeypatch):
+    broken = GramMatrix(2, np.eye(2, dtype=complex), False, None)
+    monkeypatch.setattr(verify.symmetric, "subspace_gram", lambda spec, n: broken)
+    [result] = verify.suite_gram()
+    assert result.line() == "FAIL  gram.circulant_structure.two_mode  1.000e+00"
+    assert (result.tol, result.margin) == (verify.BOOLEAN_TOL, 1.0)
+
+
+def test_missing_crossover_fails_with_a_tol(monkeypatch):
+    monkeypatch.setattr(disc, "phase_encoded_ot_crossover", lambda tail_tol: CrossoverReport(()))
+    result = verify.suite_families()[-1]
+    assert result.line() == "FAIL  families.phase_encoded_crossover  1.000e+00"
+    assert (result.tol, result.margin) == (verify.BOOLEAN_TOL, 1.0)
 
 
 def test_unknown_suite():
@@ -70,6 +120,18 @@ class TestRank1ProjectorDefect:
         assert verify._rank1_projector_defect(np.zeros((3, 3), complex)) > 1e-3
 
     @pytest.mark.parametrize("dim", [3, 64, 65, 200])
+    @pytest.mark.parametrize("p", [0.37, np.float64(2.5e-3), 3.0])
+    def test_renormalizing_in_chunks_is_bit_identical(self, dim, p):
+        # u / p is complex / real: numpy computes it as (a + b*0) * (1/p)
+        rng = np.random.default_rng(dim)
+        w = self.unit_vector(dim, dim)
+        for u in (p * np.outer(w, w.conj()), rng.normal(size=(dim, dim)) + 0j):
+            renormalized = u / p
+            assert np.array_equal(renormalized.view(float), u.view(float) * (1.0 / p))
+            expected = verify._rank1_projector_defect(renormalized)
+            assert verify._rank1_projector_defect(u.copy(), p) == expected
+
+    @pytest.mark.parametrize("dim", [3, 64, 65, 200])
     def test_chunked_norm_matches_whole_difference(self, dim):
         rng = np.random.default_rng(dim)
         x = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
@@ -86,15 +148,36 @@ def test_full_suite_matches_reference_ids(all_results):
     assert len(all_results) == 39 and all(r.passed for r in all_results)
 
 
-def test_block_srm_oracle_runs_once_per_input(monkeypatch):
-    # families and appendix_a share the 12 (family, |alpha|) block-SRM values
+BLOCK_SRM_INPUTS = [
+    (tag, alpha) for tag in disc.COHERENT_FAMILIES for alpha in (0.3, 0.7, 1.2)
+]
+
+
+def test_block_srm_oracle_runs_once_per_block(monkeypatch):
+    # families and appendix_a share the 12 (family, |alpha|) block-SRM values,
+    # and those share each (family, N) block's SRM: it does not depend on |alpha|
     calls = []
-    real = oracle.block_srm
-    monkeypatch.setattr(oracle, "block_srm", lambda *a: calls.append(1) or real(*a))
+    real = oracle.srm_success_pure
+    monkeypatch.setattr(oracle, "srm_success_pure", lambda v: calls.append(1) or real(v))
     verify._block_srm_success.cache_clear()
+    verify._block_srm_term.cache_clear()
     verify.suite_families()
     verify.suite_appendix_a()
-    assert len(calls) == 12
+    blocks = {
+        (tag, n)
+        for tag, alpha in BLOCK_SRM_INPUTS
+        for n in range(
+            len(phase_rand.poisson_series(SymmetricFamilySpec(tag, alpha).mean_photons, 1e-12))
+        )
+    }
+    assert len(calls) == len(blocks) == 101
+
+
+@pytest.mark.parametrize("tag,alpha", BLOCK_SRM_INPUTS)
+def test_block_srm_success_is_bit_identical_to_block_srm(tag, alpha):
+    spec = SymmetricFamilySpec(tag, alpha)
+    blocks_first = phase_rand.subspace_state_blocks(spec, 1e-12)[::-1]
+    assert verify._block_srm_success(tag, alpha, 1e-12) == oracle.block_srm(*blocks_first)
 
 
 def test_block_purity_holds_one_block_at_a_time():
