@@ -309,10 +309,11 @@ def _rank1_projector_defect(u: np.ndarray, p: float = 1.0) -> float:
     w_conj = w.conj()
     parts = u.view(np.float64)
     squared = 0.0
-    for rows in range(0, len(w), 64):  # in row chunks: no u-sized temporary
+    for rows in range(0, len(w), 64):  # the norm is summed per 64-row chunk
         parts[rows : rows + 64] *= scale  # renormalize while in cache
+        for sub in range(rows, min(rows + 64, len(w)), 16):  # a 16-row temporary
+            u[sub : sub + 16] -= np.outer(w[sub : sub + 16], w_conj)
         chunk = u[rows : rows + 64]
-        chunk -= np.outer(w[rows : rows + 64], w_conj)
         squared += float(np.vdot(chunk, chunk).real)
     return math.sqrt(squared) + abs(float(np.vdot(w, w).real) - 1.0)
 
