@@ -19,12 +19,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from .phase_rand import DEFAULT_N_CAP, poisson_series, poisson_series_grid
-from .symmetric import COHERENT_FAMILY_MODES, SymmetricFamilySpec
+from .symmetric import FAMILIES, SymmetricFamilySpec
+
+COHERENT_FAMILIES = tuple(FAMILIES)
 
 #: Families encoding two bits in four states (p_1bit / b_ot are defined here).
-FOUR_STATE_FAMILIES = ("three_mode", "four_mode", "phase_encoded")
-
-COHERENT_FAMILIES = ("two_mode",) + FOUR_STATE_FAMILIES
+FOUR_STATE_FAMILIES = tuple(t for t, f in FAMILIES.items() if len(f.orbit) == 4)
 
 VARIANTS = ("pure", "mixed")
 
@@ -124,13 +124,14 @@ def _subspace_table(tag: str, metric: str) -> tuple[float, ...]:
     """s_N for N = 0..DEFAULT_N_CAP: the per-subspace success of a mixed metric.
 
     `metric` is "p_corr" (square-root measurement, optimal for symmetric pure
-    states) or "p_1bit"; the vacuum entry is the random guess.  The table
-    does not depend on |alpha|, so it is built once per (family, metric).
+    states) or "p_1bit"; the vacuum entry is the random guess, 1/L among the
+    L states or 1/2 for one bit.  The table does not depend on |alpha|, so
+    it is built once per (family, metric).
     """
     if metric == "p_1bit":
         vacuum, term = 0.5, _p1bit_subspace_term
     else:
-        vacuum, term = 0.25, _pcorr_subspace_term
+        vacuum, term = 1.0 / SymmetricFamilySpec(tag).n_states, _pcorr_subspace_term
     return (vacuum,) + tuple(term(tag, n) for n in range(1, DEFAULT_N_CAP + 1))
 
 
@@ -151,7 +152,7 @@ def _mixed_series(
     summed left to right in N, so a point's value does not depend on the
     grid it sits on.  Returns (value, number of terms).
     """
-    weights = poisson_series(COHERENT_FAMILY_MODES[tag] * _intensity(alpha_abs), tail_tol)
+    weights = poisson_series(FAMILIES[tag].modes * _intensity(alpha_abs), tail_tol)
     total = 0.0
     for p_n, s_n in zip(weights, _subspace_table(tag, metric)):
         total += p_n * s_n
@@ -167,7 +168,7 @@ def _mixed_column(
     p_N s_N are summed left to right by np.add.accumulate, and the zero
     weights past a row's truncation leave its sum unchanged.
     """
-    means = COHERENT_FAMILY_MODES[tag] * _intensities(alphas)
+    means = FAMILIES[tag].modes * _intensities(alphas)
     table = _subspace_array(tag, metric)
     out = np.empty(means.size)
     for start in range(0, means.size, GRID_CHUNK):

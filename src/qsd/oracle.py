@@ -256,9 +256,7 @@ def whole_matrix_srm(
             coords[i].append(basis.conj().T @ np.asarray(vec, dtype=np.complex128))
     rhos = []
     for member in coords:
-        rho = phase_rand.BlockDiagonalMatrix(
-            tuple(w * np.outer(c, c.conj()) for w, c in zip(weights, member))
-        ).to_dense()
+        rho = phase_rand.direct_sum([w * np.outer(c, c.conj()) for w, c in zip(weights, member)])
         rhos.append(rho / np.trace(rho).real)
     priors = [1.0 / n_states] * n_states
     return srm(rhos, priors, support_cutoff=support_cutoff)
@@ -308,8 +306,8 @@ def verify_appendix_b(
     state0 = CoherentStateVector((amp, 0.0))
     state1 = CoherentStateVector((0.0, amp))
     n_max = phase_rand.truncation_photon_number(state0.mean_photons, tail_tol)
-    rho0 = phase_rand.phase_randomized_state(state0, n_max).to_dense()
-    rho1 = phase_rand.phase_randomized_state(state1, n_max).to_dense()
+    rho0 = phase_rand.phase_randomized_state(state0, n_max)
+    rho1 = phase_rand.phase_randomized_state(state1, n_max)
 
     srm_povm, srm_success = srm([rho0, rho1], [p0, 1.0 - p0])
     hel_povm, hel_success = helstrom_two(rho0, rho1, p0)

@@ -4,8 +4,8 @@ Averaging a multi-mode coherent state over a uniform global phase is applied
 analytically: the phase integral enforces equality of total photon number
 between ket and bra (a Kronecker delta), so the mixed state is an exact
 direct sum over N-photon blocks, each block a Poisson weight p_N times a
-rank-1 projector.  Matrices are therefore stored block-by-block and never as
-one giant dense array.
+rank-1 projector.  Blocks are therefore built one at a time, and only small
+direct sums are ever embedded into one dense array.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ MIN_TAIL_TOL = 1e-14
 #: Hard cap on the truncation photon number, whatever the tail demands.
 DEFAULT_N_CAP = 150
 
-#: Largest dimension BlockDiagonalMatrix.to_dense will embed into.
+#: Largest dimension `direct_sum` will embed into.
 DENSE_DIMENSION_CAP = 10_000
 
 
@@ -231,48 +231,32 @@ def subspace_state_blocks(
 # block-diagonal density matrices
 
 
-@dataclass(frozen=True)
-class BlockDiagonalMatrix:
-    """Hermitian matrix stored as one dense block per photon number.
+def direct_sum(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Dense matrix with the square `blocks` on its diagonal, in order.
 
-    Each block may be in any basis of its own (the canonical N-photon
-    subspace basis, or a span basis); off-block entries are identically zero,
-    so they are never materialised unless `to_dense` is called for a small
-    embedding.
+    Off-block entries are exact zeros.  Raises CapacityError past
+    DENSE_DIMENSION_CAP, so only small embeddings are materialised.
     """
-
-    blocks: tuple[np.ndarray, ...]
-
-    @property
-    def dimension(self) -> int:
-        return sum(b.shape[0] for b in self.blocks)
-
-    def trace(self) -> float:
-        return float(sum(np.trace(b).real for b in self.blocks))
-
-    def to_dense(self) -> np.ndarray:
-        """Embed into the direct-sum basis (blocks in photon-number order)."""
-        dim = self.dimension
-        if dim > DENSE_DIMENSION_CAP:
-            raise CapacityError(f"dense embedding of dimension {dim} > cap")
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        offset = 0
-        for block in self.blocks:
-            d = block.shape[0]
-            out[offset : offset + d, offset : offset + d] = block
-            offset += d
-        return out
+    dim = sum(b.shape[0] for b in blocks)
+    if dim > DENSE_DIMENSION_CAP:
+        raise CapacityError(f"dense embedding of dimension {dim} > cap")
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    offset = 0
+    for block in blocks:
+        d = block.shape[0]
+        out[offset : offset + d, offset : offset + d] = block
+        offset += d
+    return out
 
 
-def mixed_state_matrix(
-    spec: SymmetricFamilySpec, which: str, n_max: int
-) -> BlockDiagonalMatrix:
+def mixed_state_matrix(spec: SymmetricFamilySpec, which: str, n_max: int) -> np.ndarray:
     """Phase-randomized density matrix of one family member, truncated at n_max.
 
-    Block N equals p_N |psi_N><psi_N| with p_N the Poisson weight, so the
-    trace is the retained mass 1 - tail.  Built by the generic amplitude path
-    from the member's mode amplitudes, so the oracle route's density matrices
-    do not depend on `symmetric.subspace_states`.
+    Dense, with block N equal to p_N |psi_N><psi_N| (p_N the Poisson weight)
+    in photon-number order, so the trace is the retained mass 1 - tail.
+    Built by the generic amplitude path from the member's mode amplitudes, so
+    the oracle route's density matrices do not depend on
+    `symmetric.subspace_states`.
     """
     labels = spec.labels
     if which not in labels:
@@ -314,11 +298,10 @@ def randomized_blocks(
         del block, parts  # else they stay alive while the next block allocates
 
 
-def phase_randomized_state(
-    state: CoherentStateVector, n_max: int
-) -> BlockDiagonalMatrix:
-    """Phase-randomized density matrix of a generic coherent state."""
-    return BlockDiagonalMatrix(tuple(randomized_blocks(state, n_max)))
+def phase_randomized_state(state: CoherentStateVector, n_max: int) -> np.ndarray:
+    """Phase-randomized density matrix of a generic coherent state: the
+    `direct_sum` of its `randomized_blocks`."""
+    return direct_sum(list(randomized_blocks(state, n_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,25 +309,17 @@ def phase_randomized_state(
 
 
 def subspace_symmetry_unitary(family_tag: str, photons: int) -> np.ndarray:
-    """Generating unitary of a coherent family, restricted to the N-photon block.
+    """The family's symmetry S lifted to the N-photon block.
 
-    Each is a signed mode permutation or a mode phase and therefore conserves
-    total photon number; its fourth power (square for the two-mode family) is
-    the identity on the block.
+    S sends mode amplitudes x to (S x)[m] = i^shift[m] x[perm[m]], so it sends
+    the number state |n> to i^(n' . shift) |n'> with n' = n[perm]: a
+    quarter-turn-signed permutation of the basis, which conserves total
+    photon number and whose L-th power is the identity on the block.
     """
-    mode_counts = symmetric.COHERENT_FAMILY_MODES
-    if family_tag not in mode_counts:
-        raise ValueError(f"unknown coherent family {family_tag!r}")
-    basis = fock.enumerate_subspace(mode_counts[family_tag], photons)
-    occ = basis.occupation_array
-    rows = cols = np.arange(basis.dimension)
-    values = np.where(occ[:, 1] % 2, -1.0, 1.0)  # two_mode: sign flip of mode 2
-    if family_tag == "three_mode":  # |a,b,c> -> (-1)^b |a,c,b>
-        rows = basis.ranks(occ[:, [0, 2, 1]])
-    elif family_tag == "four_mode":  # cyclic mode shift |a,b,c,d> -> |b,c,d,a>
-        rows, values = basis.ranks(occ[:, [1, 2, 3, 0]]), 1.0
-    elif family_tag == "phase_encoded":  # i^k phase on the second mode
-        values = np.array(symmetric._I_POWERS)[occ[:, 1] % 4]
+    family = SymmetricFamilySpec(family_tag).family
+    basis = fock.enumerate_subspace(family.modes, photons)
+    image = basis.occupation_array[:, family.perm]
+    values = np.array(symmetric._I_POWERS)[(image @ np.array(family.shift)) % 4]
     u = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
-    u[rows, cols] = values
+    u[basis.ranks(image), np.arange(basis.dimension)] = values
     return u

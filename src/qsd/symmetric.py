@@ -10,22 +10,12 @@ measurement success probability from Gram eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import fock
-
-#: Coherent families, in the cyclic label order their symmetry unitary induces.
-COHERENT_FAMILY_MODES = {
-    "two_mode": 2,
-    "three_mode": 3,
-    "four_mode": 4,
-    "phase_encoded": 2,
-}
-
-FAMILY_TAGS = tuple(COHERENT_FAMILY_MODES) + ("qutrit", "ququart")
 
 #: Tolerance for recognising the circulant pattern in a Gram matrix.
 CIRCULANT_TOLERANCE = 1e-12
@@ -46,86 +36,101 @@ class InconsistentGramError(ValueError):
 
 
 @dataclass(frozen=True)
-class SymmetricFamilySpec:
-    """One of the six symmetric families, with its coherent amplitude |alpha|.
+class CoherentFamily:
+    """A symmetric coherent family {S^k a_0, k = 0..L-1}, as data.
 
-    `amplitude` is ignored for the finite-dimensional qutrit/ququart families.
-    Labels follow the cyclic order of the generating unitary: ("0", "1") for
-    the two-mode family and ("00", "01", "11", "10") for the four-state ones.
+    a_0 has amplitude i^seed[m] |alpha| in mode m.  The symmetry S permutes
+    the modes and turns each by a quarter-turn power: (S x)[m] =
+    i^shift[m] x[perm[m]].  The members are the orbit of a_0 under S, in
+    label order; exponents stay exact integers, so number-basis phases are
+    bit-exact for any N.
+    """
+
+    seed: tuple[int, ...]
+    perm: tuple[int, ...]
+    shift: tuple[int, ...]
+    labels: tuple[str, ...]
+
+    @property
+    def modes(self) -> int:
+        return len(self.seed)
+
+    @cached_property
+    def orbit(self) -> tuple[tuple[int, ...], ...]:
+        """Per-member, per-mode phases as powers of i: a_0, S a_0, ... until S^L a_0 = a_0."""
+        members = [self.seed]
+        while True:
+            image = tuple((s + members[-1][p]) % 4 for p, s in zip(self.perm, self.shift))
+            if image == self.seed:
+                return tuple(members)
+            members.append(image)
+
+
+_TWO_BITS = ("00", "01", "11", "10")
+
+#: The coherent families, in CLI order: one row each, everything else derived.
+FAMILIES = {
+    "two_mode": CoherentFamily((0, 0), (0, 1), (0, 2), ("0", "1")),
+    "three_mode": CoherentFamily((0, 0, 0), (0, 2, 1), (0, 0, 2), _TWO_BITS),
+    "four_mode": CoherentFamily((0, 0, 0, 2), (1, 2, 3, 0), (0, 0, 0, 0), _TWO_BITS),
+    "phase_encoded": CoherentFamily((0, 0), (0, 1), (0, 1), _TWO_BITS),
+}
+
+
+@dataclass(frozen=True)
+class SymmetricFamilySpec:
+    """One coherent family of `FAMILIES`, with its coherent amplitude |alpha|.
+
+    Labels follow the cyclic order of the family's symmetry S: ("0", "1")
+    for the two-mode family and ("00", "01", "11", "10") for the four-state
+    ones.
     """
 
     family_tag: str
     amplitude: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.family_tag not in FAMILY_TAGS:
+        if self.family_tag not in FAMILIES:
             raise ValueError(f"unknown family {self.family_tag!r}")
         if not self.amplitude >= 0:  # also rejects nan
             raise ValueError(f"amplitude {self.amplitude} is not a number >= 0")
 
     @property
-    def n_states(self) -> int:
-        return 2 if self.family_tag == "two_mode" else 4
+    def family(self) -> CoherentFamily:
+        return FAMILIES[self.family_tag]
 
     @property
-    def is_coherent(self) -> bool:
-        return self.family_tag in COHERENT_FAMILY_MODES
+    def n_states(self) -> int:
+        return len(self.family.orbit)
 
     @property
     def modes(self) -> int:
-        if not self.is_coherent:
-            raise ValueError(f"{self.family_tag} has no mode structure")
-        return COHERENT_FAMILY_MODES[self.family_tag]
+        return self.family.modes
 
     @property
     def labels(self) -> tuple[str, ...]:
-        if self.family_tag == "two_mode":
-            return ("0", "1")
-        return ("00", "01", "11", "10")
+        return self.family.labels
 
     @property
     def mean_photons(self) -> float:
         return self.modes * self.amplitude**2
 
     def phase_exponents(self) -> tuple[tuple[int, ...], ...]:
-        """Per-state, per-mode phase factors as powers of i.
-
-        State k carries amplitude i^{t_m} * |alpha| in mode m.  Exponents are
-        exact integers so number-basis phases stay bit-exact for any N.
-        """
-        tag = self.family_tag
-        if tag == "two_mode":
-            return ((0, 0), (0, 2))
-        if tag == "three_mode":
-            return ((0, 0, 0), (0, 0, 2), (0, 2, 2), (0, 2, 0))
-        if tag == "four_mode":
-            return ((0, 0, 0, 2), (0, 0, 2, 0), (0, 2, 0, 0), (2, 0, 0, 0))
-        if tag == "phase_encoded":
-            return ((0, 0), (0, 1), (0, 2), (0, 3))
-        raise ValueError(f"{tag} has no mode structure")
+        """Per-state, per-mode phase factors as powers of i: state k carries
+        amplitude i^{t_m} |alpha| in mode m."""
+        return self.family.orbit
 
     def amplitude_vectors(self) -> list[np.ndarray]:
         """Mode amplitude vectors of the coherent states, in label order."""
         alpha = self.amplitude
-        return [
-            np.array([_I_POWERS[t % 4] * alpha for t in exps])
-            for exps in self.phase_exponents()
-        ]
+        return [np.array([_I_POWERS[t] * alpha for t in exps]) for exps in self.phase_exponents()]
 
-    def fixed_state_vectors(self) -> list[np.ndarray]:
-        """Finite-dimensional state vectors of the qutrit/ququart families."""
-        if self.family_tag == "qutrit":
-            signs = [(1, 1, 1), (1, 1, -1), (1, -1, -1), (1, -1, 1)]
-            return [np.array(s, dtype=np.complex128) / np.sqrt(3) for s in signs]
-        if self.family_tag == "ququart":
-            signs = [
-                (1, 1, 1, -1),
-                (1, 1, -1, 1),
-                (1, -1, 1, 1),
-                (-1, 1, 1, 1),
-            ]
-            return [np.array(s, dtype=np.complex128) / 2.0 for s in signs]
-        raise ValueError(f"{self.family_tag} is a coherent family")
+    def unit_vectors(self) -> list[np.ndarray]:
+        """The amplitude vectors over their norm sqrt(M) |alpha|, which do not
+        depend on |alpha|: for three_mode and four_mode, the qutrit and
+        ququart families of four fixed states."""
+        root = np.sqrt(self.modes)
+        return [np.array(_I_POWERS)[list(exps)] / root for exps in self.phase_exponents()]
 
 
 @dataclass(frozen=True)
@@ -159,8 +164,6 @@ def _block_key(
     spec: SymmetricFamilySpec, photons: int
 ) -> tuple[int, tuple[tuple[int, ...], ...], int]:
     """(modes, phase exponents, N): all an N-photon block depends on."""
-    if not spec.is_coherent:
-        raise ValueError(f"{spec.family_tag} has no Fock structure")
     if photons < 0:
         raise ValueError(f"negative photon number {photons}")
     return spec.modes, spec.phase_exponents(), photons

@@ -95,8 +95,8 @@ def suite_fock() -> list[CheckResult]:
     spec = SymmetricFamilySpec("two_mode", 0.5)
     n_max = phase_rand.truncation_photon_number(spec.mean_photons, 1e-10)
     rho = 0.5 * (
-        phase_rand.mixed_state_matrix(spec, "0", n_max).to_dense()
-        + phase_rand.mixed_state_matrix(spec, "1", n_max).to_dense()
+        phase_rand.mixed_state_matrix(spec, "0", n_max)
+        + phase_rand.mixed_state_matrix(spec, "1", n_max)
     )
     projector = fock.support_projector(rho)
     ident = fock.matrix_function(rho, lambda x: x)
@@ -207,9 +207,9 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
     )
     results.append(_check("families.closed_form_benchmarks", exact, 1e-14))
 
-    # qutrit square-root measurement
-    qutrit = SymmetricFamilySpec("qutrit")
-    _povm, success = oracle.srm(qutrit.fixed_state_vectors(), [0.25] * 4)
+    # qutrit square-root measurement: the unit three_mode amplitude vectors
+    qutrit = SymmetricFamilySpec("three_mode").unit_vectors()
+    _povm, success = oracle.srm(qutrit, [0.25] * 4)
     results.append(_check("families.qutrit_srm", abs(success - 0.75), 1e-10))
 
     # series route vs Gram-eigenvalue route
@@ -238,7 +238,7 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
     grid = np.linspace(0.0, 3.0, 200)
     worst_start = worst_mono = worst_order = worst_tail = 0.0
     for tag in disc.COHERENT_FAMILIES:
-        guess = 0.5 if tag == "two_mode" else 0.25
+        guess = 1.0 / SymmetricFamilySpec(tag).n_states
         curves = {}
         for variant in ("pure", "mixed"):
             values = curves[variant] = disc.family_pcorr(
@@ -256,7 +256,7 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
 
     # the pure-minus-mixed gap peaks near one quarter
     worst = 0.0
-    for tag in ("three_mode", "four_mode", "phase_encoded"):
+    for tag in disc.FOUR_STATE_FAMILIES:
         _a, peak = disc.delta_pcorr_max(tag, tail_tol=tail_tol)
         worst = max(worst, abs(peak - 0.25))
     results.append(_check("families.delta_pcorr_peak_band", worst, 0.05))
@@ -414,8 +414,8 @@ def suite_appendix_b(tail_tol: float = 1e-12) -> list[CheckResult]:
         for alpha in (0.2, 0.8):
             spec = SymmetricFamilySpec("two_mode", alpha)
             n_max = phase_rand.truncation_photon_number(spec.mean_photons, tail_tol)
-            rho0 = phase_rand.mixed_state_matrix(spec, "0", n_max).to_dense()
-            rho1 = phase_rand.mixed_state_matrix(spec, "1", n_max).to_dense()
+            rho0 = phase_rand.mixed_state_matrix(spec, "0", n_max)
+            rho1 = phase_rand.mixed_state_matrix(spec, "1", n_max)
             _povm, p_corr = oracle.helstrom_two(rho0, rho1, p0)
             worst = max(worst, abs(p_corr - disc.two_mode_mixed_pcorr(alpha, p0)))
     results.append(_check("appendix_b.helstrom_original_basis", worst, 1e-8))
@@ -501,9 +501,7 @@ def suite_circuit() -> list[CheckResult]:
 
     # single-photon restriction: the four-mode inputs become orthonormal outputs
     transfer = optics.transfer_matrix(fig3)
-    spec = SymmetricFamilySpec("four_mode", 0.5)
-    vectors = [v / np.linalg.norm(v) for v in spec.amplitude_vectors()]
-    images = [transfer @ v for v in vectors]
+    images = [transfer @ v for v in SymmetricFamilySpec("four_mode").unit_vectors()]
     gram = np.array([[np.vdot(a, b) for b in images] for a in images])
     worst = float(np.linalg.norm(gram - np.eye(4)))
     results.append(_check("circuit.single_photon_orthonormal", worst, 1e-10))

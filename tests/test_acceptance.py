@@ -40,7 +40,7 @@ def test_criterion_1_closed_form_reproduction():
 
 def test_criterion_2_qutrit_benchmark():
     start = time.monotonic()
-    vectors = SymmetricFamilySpec("qutrit").fixed_state_vectors()
+    vectors = SymmetricFamilySpec("three_mode").unit_vectors()
     _povm, success = oracle.srm(vectors, [0.25] * 4)
     elapsed = time.monotonic() - start
     assert abs(success - 0.75) < 1e-10

@@ -217,6 +217,16 @@ class TestCurve:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
+    def test_huge_grid_refused_before_allocating(self, capsys):
+        # 10^12 steps used to fail in numpy with a memory-error traceback
+        code, out, err = run(
+            ["curve", "--family", "two_mode", "--metric", "p_corr",
+             "--alpha", "0:1:1000000000000"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: grid") and err.count("\n") == 1
+
     @pytest.mark.parametrize("family", disc.COHERENT_FAMILIES)
     def test_pure_curve_past_float_range(self, family, capsys):
         code, out, err = run(
@@ -290,6 +300,14 @@ class TestCurveRequest:
             cli.CurveRequest("two_mode", "p_corr", np.array([0.0]))
         with pytest.raises(cli.UsageError):
             cli.CurveRequest("two_mode", "p_corr", np.linspace(0, 1, 3), prior=1.5)
+
+    def test_huge_grid_is_usage_error(self):
+        import numpy as np
+
+        # a zero-stride view: 10^12 entries, none of them allocated
+        alphas = np.broadcast_to(np.float64(0.5), (10**12,))
+        with pytest.raises(cli.UsageError, match="steps"):
+            cli.CurveRequest("two_mode", "p_corr", alphas)
 
     @pytest.mark.parametrize(
         "alphas, tail_tol",

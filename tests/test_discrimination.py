@@ -15,8 +15,8 @@ def mixed_pair(alpha, tail_tol=1e-12):
     """Dense two-mode mixed states in the direct-sum embedding."""
     spec = SymmetricFamilySpec("two_mode", alpha)
     n_max = phase_rand.truncation_photon_number(spec.mean_photons, tail_tol)
-    rho0 = phase_rand.mixed_state_matrix(spec, "0", n_max).to_dense()
-    rho1 = phase_rand.mixed_state_matrix(spec, "1", n_max).to_dense()
+    rho0 = phase_rand.mixed_state_matrix(spec, "0", n_max)
+    rho1 = phase_rand.mixed_state_matrix(spec, "1", n_max)
     return rho0, rho1
 
 
@@ -229,7 +229,7 @@ class TestFamilyP1bitAndBot:
     def test_mixed_terms_match_generic_overlap_formula(self):
         for tag in FOUR_STATE:
             for alpha in (0.4, 1.1):
-                mean = symmetric.COHERENT_FAMILY_MODES[tag] * alpha**2
+                mean = SymmetricFamilySpec(tag).modes * alpha**2
                 n_max = phase_rand.truncation_photon_number(mean, 1e-12)
                 weights = phase_rand.poisson_weights(mean, n_max)
                 total = weights[0] * 0.5

@@ -277,7 +277,7 @@ class TestHermitianEig:
         spec = SymmetricFamilySpec("two_mode", 0.8)
         n_max = phase_rand.truncation_photon_number(spec.mean_photons, 1e-12)
         rho0, rho1 = (
-            phase_rand.mixed_state_matrix(spec, label, n_max).to_dense()
+            phase_rand.mixed_state_matrix(spec, label, n_max)
             for label in spec.labels
         )
         difference = 0.3 * rho0 - 0.7 * rho1

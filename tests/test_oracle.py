@@ -21,7 +21,7 @@ class TestSrm:
         povm.validate()
 
     def test_qutrit_family(self):
-        vectors = SymmetricFamilySpec("qutrit").fixed_state_vectors()
+        vectors = SymmetricFamilySpec("three_mode").unit_vectors()
         povm, success = oracle.srm(vectors, [0.25] * 4)
         assert success == pytest.approx(0.75, abs=1e-10)
         povm.validate()
@@ -34,20 +34,20 @@ class TestSrm:
             oracle.srm(states, priors)
 
     def test_ququart_family(self):
-        vectors = SymmetricFamilySpec("ququart").fixed_state_vectors()
+        vectors = SymmetricFamilySpec("four_mode").unit_vectors()
         _povm, success = oracle.srm(vectors, [0.25] * 4)
         assert success == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_gram_eigenvalue_route(self):
         # every input the Gram route accepts: the coherent families' circulant
-        # blocks and the two fixed families
+        # blocks and the two fixed families (qutrit and ququart)
         families = [
             symmetric.subspace_states(SymmetricFamilySpec(tag, 0.8), n)
             for tag in disc.COHERENT_FAMILIES
             for n in range(13)
         ]
         families += [
-            SymmetricFamilySpec(tag).fixed_state_vectors() for tag in ("qutrit", "ququart")
+            SymmetricFamilySpec(tag).unit_vectors() for tag in ("three_mode", "four_mode")
         ]
         for states in families:
             gram = symmetric.gram_matrix(states)
@@ -91,8 +91,8 @@ class TestHelstromTwo:
     def test_two_mode_mixed_against_closed_form(self):
         spec = SymmetricFamilySpec("two_mode", 0.7)
         n_max = phase_rand.truncation_photon_number(spec.mean_photons, 1e-12)
-        rho0 = phase_rand.mixed_state_matrix(spec, "0", n_max).to_dense()
-        rho1 = phase_rand.mixed_state_matrix(spec, "1", n_max).to_dense()
+        rho0 = phase_rand.mixed_state_matrix(spec, "0", n_max)
+        rho1 = phase_rand.mixed_state_matrix(spec, "1", n_max)
         povm, p_corr = oracle.helstrom_two(rho0, rho1, 0.5)
         assert p_corr == pytest.approx(1.0 - math.exp(-0.98) / 2.0, abs=1e-8)
         povm.validate()
@@ -102,8 +102,8 @@ class TestHelstromTwo:
         # projects onto the former and takes the vacuum when p0 > p1
         amp = math.sqrt(2.0) * 0.6
         n_max = phase_rand.truncation_photon_number(amp**2, 1e-12)
-        rho0 = phase_rand.phase_randomized_state(CoherentStateVector((amp, 0.0)), n_max).to_dense()
-        rho1 = phase_rand.phase_randomized_state(CoherentStateVector((0.0, amp)), n_max).to_dense()
+        rho0 = phase_rand.phase_randomized_state(CoherentStateVector((amp, 0.0)), n_max)
+        rho1 = phase_rand.phase_randomized_state(CoherentStateVector((0.0, amp)), n_max)
         povm, _p = oracle.helstrom_two(rho0, rho1, 0.7)
         pi0, pi1 = povm.elements
         assert pi0[0, 0].real == pytest.approx(1.0, abs=1e-9)  # vacuum to outcome 0
@@ -120,8 +120,8 @@ class TestHelstromTwo:
     def test_beats_or_matches_srm(self):
         spec = SymmetricFamilySpec("two_mode", 0.5)
         n_max = phase_rand.truncation_photon_number(spec.mean_photons, 1e-12)
-        rho0 = phase_rand.mixed_state_matrix(spec, "0", n_max).to_dense()
-        rho1 = phase_rand.mixed_state_matrix(spec, "1", n_max).to_dense()
+        rho0 = phase_rand.mixed_state_matrix(spec, "0", n_max)
+        rho1 = phase_rand.mixed_state_matrix(spec, "1", n_max)
         for p0 in (0.5, 0.35):
             _sp, srm_success = oracle.srm([rho0, rho1], [p0, 1 - p0])
             _hp, hel_success = oracle.helstrom_two(rho0, rho1, p0)
@@ -154,7 +154,7 @@ class TestSpanReduction:
 
 class TestBlockSrm:
     def test_single_block_is_plain_srm(self):
-        vectors = SymmetricFamilySpec("qutrit").fixed_state_vectors()
+        vectors = SymmetricFamilySpec("three_mode").unit_vectors()
         assert oracle.block_srm([vectors], [1.0]) == pytest.approx(0.75, abs=1e-10)
 
     def test_four_mode_closed_form(self):
@@ -173,14 +173,14 @@ class TestBlockSrm:
             assert abs(block_value - whole_value) < 1e-9
 
     def test_weight_validation(self):
-        vectors = SymmetricFamilySpec("qutrit").fixed_state_vectors()
+        vectors = SymmetricFamilySpec("three_mode").unit_vectors()
         with pytest.raises(ValueError):
             oracle.block_srm([vectors], [1.5])
         with pytest.raises(ValueError):
             oracle.block_srm([vectors], [0.5, 0.5])
 
     def test_nan_weight_rejected(self):
-        vectors = SymmetricFamilySpec("qutrit").fixed_state_vectors()
+        vectors = SymmetricFamilySpec("three_mode").unit_vectors()
         with pytest.raises(ValueError):
             oracle.block_srm([vectors], [math.nan])
 
@@ -194,8 +194,8 @@ class TestWholeMatrixSrm:
         _povm, span_value = oracle.whole_matrix_srm(blocks, weights)
 
         n_max = len(weights) - 1
-        rho0 = phase_rand.mixed_state_matrix(spec, "0", n_max).to_dense()
-        rho1 = phase_rand.mixed_state_matrix(spec, "1", n_max).to_dense()
+        rho0 = phase_rand.mixed_state_matrix(spec, "0", n_max)
+        rho1 = phase_rand.mixed_state_matrix(spec, "1", n_max)
         scale = weights.sum()
         _p, literal_value = oracle.srm([rho0 / scale, rho1 / scale], [0.5, 0.5])
         assert span_value == pytest.approx(literal_value, abs=1e-10)

@@ -25,7 +25,7 @@ class TestFamilySpec:
 
     def test_state_counts(self):
         assert SymmetricFamilySpec("two_mode", 1.0).n_states == 2
-        for tag in ("three_mode", "four_mode", "phase_encoded", "qutrit", "ququart"):
+        for tag in ("three_mode", "four_mode", "phase_encoded"):
             assert SymmetricFamilySpec(tag, 1.0).n_states == 4
 
     def test_amplitude_vectors_match_labels(self):
@@ -44,14 +44,44 @@ class TestFamilySpec:
         assert np.allclose(vectors[3], [0.5, -0.5j])
 
     def test_fixed_families_are_normalized(self):
-        for tag in ("qutrit", "ququart"):
-            for v in SymmetricFamilySpec(tag).fixed_state_vectors():
+        # the qutrit and ququart families
+        for tag in ("three_mode", "four_mode"):
+            for v in SymmetricFamilySpec(tag).unit_vectors():
                 assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
 
     def test_ququart_states_are_orthonormal(self):
-        vectors = SymmetricFamilySpec("ququart").fixed_state_vectors()
+        vectors = SymmetricFamilySpec("four_mode").unit_vectors()
         gram = np.array([[np.vdot(a, b) for b in vectors] for a in vectors])
         assert np.linalg.norm(gram - np.eye(4)) < 1e-15
+
+
+class TestFamilyTable:
+    """Every family is one row (a_0, S); these pin what the rows derive."""
+
+    def test_orbits_are_the_exponent_tuples(self):
+        expected = {
+            "two_mode": ((0, 0), (0, 2)),
+            "three_mode": ((0, 0, 0), (0, 0, 2), (0, 2, 2), (0, 2, 0)),
+            "four_mode": ((0, 0, 0, 2), (0, 0, 2, 0), (0, 2, 0, 0), (2, 0, 0, 0)),
+            "phase_encoded": ((0, 0), (0, 1), (0, 2), (0, 3)),
+        }
+        assert tuple(symmetric.FAMILIES) == COHERENT_TAGS
+        for tag, exponents in expected.items():
+            spec = SymmetricFamilySpec(tag)
+            assert spec.phase_exponents() == exponents
+            assert (spec.n_states, spec.modes) == (len(exponents), len(exponents[0]))
+            assert len(spec.labels) == spec.n_states
+
+    def test_unit_vectors_are_the_fixed_sign_tables(self):
+        qutrit = [(1, 1, 1), (1, 1, -1), (1, -1, -1), (1, -1, 1)]
+        ququart = [(1, 1, 1, -1), (1, 1, -1, 1), (1, -1, 1, 1), (-1, 1, 1, 1)]
+        for tag, signs, norm in (("three_mode", qutrit, np.sqrt(3)), ("four_mode", ququart, 2.0)):
+            derived = SymmetricFamilySpec(tag, 0.7).unit_vectors()
+            assert len(derived) == len(signs)
+            for vec, sign in zip(derived, signs):
+                literal = np.array(sign, dtype=np.complex128) / norm
+                assert vec.dtype == literal.dtype
+                assert vec.tobytes() == literal.tobytes()
 
 
 class TestSubspaceStates:
@@ -257,7 +287,7 @@ class TestSrmSuccessFromGram:
         assert symmetric.srm_success_from_gram(gram) == pytest.approx(1.0, abs=1e-14)
 
     def test_qutrit_family(self):
-        vectors = SymmetricFamilySpec("qutrit").fixed_state_vectors()
+        vectors = SymmetricFamilySpec("three_mode").unit_vectors()
         gram = symmetric.gram_matrix(vectors)
         assert symmetric.srm_success_from_gram(gram) == pytest.approx(0.75, abs=1e-12)
 
