@@ -26,7 +26,6 @@ from .discrimination import (
 )
 from .fock import (
     CapacityError,
-    ConvergenceError,
     NotPositiveSemidefiniteError,
     SpectralDecomposition,
     SubspaceBasis,

@@ -14,7 +14,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from typing import NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -25,6 +25,14 @@ from .symmetric import SymmetricFamilySpec
 
 class UsageError(Exception):
     """Invalid flag combination; reported on stderr with exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own rejections as UsageError, so they are one line
+    too; subparsers are built from the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
 
 
 CURVE_METRICS = {
@@ -54,19 +62,14 @@ def _parse_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(
             f"grid {text!r} needs finite 0 <= min < max and steps >= 2"
         )
-    if steps > MAX_GRID_STEPS:  # a UsageError, so the refusal is one stderr line
+    if steps > MAX_GRID_STEPS:
         raise UsageError(f"grid {text!r} has more than {MAX_GRID_STEPS} steps")
     return np.linspace(lo, hi, steps)
 
 
 def _parse_variants(text: str) -> tuple[str, ...]:
-    variants = tuple(v.strip() for v in text.split(",") if v.strip())
-    for v in variants:
-        if v not in disc.VARIANTS:
-            raise argparse.ArgumentTypeError(f"unknown variant {v!r}")
-    if not variants:
-        raise argparse.ArgumentTypeError("empty variant list")
-    return variants
+    """Split a comma list; `CurveRequest` checks the names."""
+    return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
 #: Every number written: 12 significant digits.
@@ -108,6 +111,13 @@ class CurveRequest:
             raise UsageError(
                 "alpha grid needs finite entries >= 0, first < last and steps >= 2"
             )
+        if not self.variants:
+            raise UsageError("empty variant list")
+        for v in self.variants:
+            if v not in disc.VARIANTS:
+                raise UsageError(f"unknown variant {v!r}")
+        if len(set(self.variants)) < len(self.variants):
+            raise UsageError(f"repeated variant in {','.join(self.variants)}")
         if not 0.0 < self.prior < 1.0:
             raise UsageError(f"prior {self.prior} outside (0, 1)")
         try:
@@ -222,7 +232,7 @@ def cmd_circuit(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsd",
         description=(
             "Discrimination probabilities for symmetric multi-mode coherent-state "

@@ -2,9 +2,9 @@
 
 Provides enumeration of fixed-total-photon-number subspaces, coherent-state
 amplitudes in the number basis, and dense complex-Hermitian linear algebra
-(a round-robin Jacobi eigensolver and spectral matrix functions).  Everything
-here is a pure function of immutable inputs, so results are safe to share
-across threads and to cache.
+(LAPACK's eigensolver behind a Hermiticity guard, and spectral matrix
+functions).  Everything here is a pure function of immutable inputs, so
+results are safe to share across threads and to cache.
 """
 
 from __future__ import annotations
@@ -25,20 +25,9 @@ PSD_TOLERANCE = 1e-10
 #: Hermiticity / real-trace tolerance for dense matrices.
 HERMITICITY_TOLERANCE = 1e-12
 
-#: Jacobi stops once the off-diagonal norm is below this share of the norm.
-OFF_DIAGONAL_TOLERANCE = 1e-12
-
 
 class CapacityError(ValueError):
     """A requested truncation exceeds the configured size cap."""
-
-
-class ConvergenceError(RuntimeError):
-    """The Jacobi iteration failed to reach the target off-diagonal norm."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 class NotPositiveSemidefiniteError(ValueError):
@@ -245,190 +234,24 @@ def check_hermitian(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns.
-
-    `sweeps` counts the Jacobi sweeps that produced them (0 when the matrix
-    was already diagonal).
-    """
+    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    sweeps: int = 0
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def hermitian_eig(m: np.ndarray, sweep_cap: int = 100) -> SpectralDecomposition:
+def hermitian_eig(m: np.ndarray) -> SpectralDecomposition:
     """Full spectral decomposition of a complex Hermitian matrix.
 
-    Jacobi iteration with 2x2 unitary rotations in the Brent-Luk round-robin
-    order, run on the connected components of the exact nonzero pattern of
-    the matrix: each round applies one disjoint rotation per index pair of
-    every component at once, so a sweep takes n - 1 vectorised rounds, n the
-    largest component size rounded up to even.  A rotation inside one component leaves every other
-    component's entries exactly zero, so the components need no tolerance
-    and pairs across them are never visited.  Pairs whose entry is at most
-    target / d are skipped; sweeps continue until the off-diagonal Frobenius
-    norm drops below target = OFF_DIAGONAL_TOLERANCE times the initial
-    Frobenius norm.  Raises ConvergenceError (carrying the residual) if
-    `sweep_cap` sweeps do not suffice.
+    LAPACK's divide-and-conquer solver (`numpy.linalg.eigh`) on the matrix
+    `check_hermitian` accepts, reversed into descending order.
     """
-    # a stacked on v: one column update rotates both
-    av = np.vstack([check_hermitian(m), np.eye(len(m), dtype=np.complex128)])
-    d = av.shape[1]
-    a, v = av[:d], av[d:]
-    if d == 0:
-        return SpectralDecomposition(np.zeros(0), v)
-    norm0 = float(np.linalg.norm(a))
-    if norm0 == 0.0 or d == 1:
-        return _sorted_decomposition(np.real(np.diag(a)), v)
-    target = OFF_DIAGONAL_TOLERANCE * norm0
-    skip = target / d
-    rounds = None  # the schedule, looked up only if a sweep is needed
-
-    sweeps = 0
-    while (off := _off_diagonal_norm(a)) >= target:
-        if sweeps >= sweep_cap:
-            raise ConvergenceError(
-                f"Jacobi did not converge in {sweep_cap} sweeps "
-                f"(off-diagonal residual {off:.3e}, target {target:.3e})",
-                residual=off,
-            )
-        if rounds is None:
-            rounds = _merged_rounds(_component_labels(a))
-        for p, q in rounds:
-            apq = a[p, q]
-            mag = np.abs(apq)
-            active = mag > skip
-            if not active.all():
-                p, q, apq, mag = p[active], q[active], apq[active], mag[active]
-            if p.size:
-                _rotate(av, p, q, apq, mag)
-        sweeps += 1
-    return _sorted_decomposition(np.real(np.diag(a)), v, sweeps)
-
-
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def _component_labels(a: np.ndarray) -> tuple[int, ...]:
-    """Each index's connected component in a's exact nonzero pattern, named
-    by the component's smallest index.
-
-    With no zero off the diagonal there is one component and no search.
-    Otherwise each index takes the smallest label among itself and its
-    neighbours, then the label of that label, until nothing changes: labels
-    only fall and stay inside the component, so each ends at its minimum.
-    """
-    d = len(a)
-    nonzero = a != 0
-    np.fill_diagonal(nonzero, True)
-    if nonzero.all():
-        return (0,) * d
-    labels = np.arange(d)
-    while True:
-        lowest = np.where(nonzero, labels, d).min(axis=1)
-        lowest = lowest[lowest]
-        if (lowest == labels).all():
-            break
-        labels = lowest
-    return tuple(labels.tolist())
-
-
-def _split_components(labels: tuple[int, ...]) -> list[np.ndarray]:
-    """Index sets of the components named by `labels`, in label order."""
-    labels = np.array(labels)
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-
-
-def _components(a: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of a's exact nonzero pattern."""
-    return _split_components(_component_labels(a))
-
-
-@lru_cache(maxsize=None)
-def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Brent-Luk schedule of n indices as flat (round, p, q) arrays, p < q.
-
-    Circle method on n rounded up to even m: index 0 stays put, the others
-    move one place per round, and place i meets place m - 1 - i.  In m - 1
-    rounds every pair meets exactly once; pairs with the padding index of
-    an odd n are dropped.
-    """
-    m = n + n % 2
-    turn = np.arange(m - 1)[:, None]
-    ring = np.zeros((m - 1, m), dtype=np.int64)
-    ring[:, 1:] = 1 + (turn + np.arange(m - 1)) % (m - 1)
-    left, right = ring[:, : m // 2], ring[:, : m // 2 - 1 : -1]
-    p, q = np.minimum(left, right), np.maximum(left, right)
-    real = q < n
-    out = (np.broadcast_to(turn, p.shape)[real], p[real], q[real])
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def _merged_rounds(
-    labels: tuple[int, ...],
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Round r of a sweep: round r of every component's schedule at once.
-
-    Cached per component structure (`_component_labels`); read-only arrays.
-    """
-    parts = [(_round_robin(len(c)), c) for c in _split_components(labels) if len(c) > 1]
-    if not parts:
-        return ()
-    rnd = np.concatenate([r for (r, _p, _q), _c in parts])
-    p = np.concatenate([c[lp] for (_r, lp, _q), c in parts])
-    q = np.concatenate([c[lq] for (_r, _p, lq), c in parts])
-    order = np.argsort(rnd, kind="stable")
-    p, q = p[order], q[order]
-    p.flags.writeable = q.flags.writeable = False
-    ends = np.cumsum(np.bincount(rnd)).tolist()
-    return tuple((p[i:j], q[i:j]) for i, j in zip([0] + ends, ends))
-
-
-def _rotate(
-    av: np.ndarray, p: np.ndarray, q: np.ndarray, apq: np.ndarray, mag: np.ndarray
-) -> None:
-    """Zero every a[p, q] by disjoint 2x2 unitary similarities, in place.
-
-    `av` is a stacked on v; the pairs (p, q) share no index.
-    """
-    # Rotation U = [[c, s], [-conj(s), c]] with s = t*c*e^{i phi}; t solves
-    # t^2 + 2*theta*t - 1 = 0 (smaller root for stability).
-    a = av[: av.shape[1]]
-    k = len(p)
-    phi = np.arctan2(apq.imag, apq.real)
-    theta = (a[q, q] - a[p, p]).real / (2.0 * mag)
-    t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
-    c = 1.0 / np.hypot(t, 1.0)
-    s = t * c * np.exp(1j * phi)
-    sc = s.conj()
-
-    pq, qp = np.concatenate([p, q]), np.concatenate([q, p])
-    cols = av[:, pq]
-    col_p, col_q = cols[:, :k], cols[:, k:]
-    av[:, pq] = np.concatenate([c * col_p - sc * col_q, s * col_p + c * col_q], axis=1)
-    rows = a[pq]
-    row_p, row_q = rows[:k], rows[k:]
-    c, s, sc = c[:, None], s[:, None], sc[:, None]
-    a[pq] = np.concatenate([c * row_p - s * row_q, sc * row_p + c * row_q])
-    a[pq, qp] = 0.0
-    a[pq, pq] = a[pq, pq].real
-
-
-def _sorted_decomposition(
-    eigenvalues: np.ndarray, vectors: np.ndarray, sweeps: int = 0
-) -> SpectralDecomposition:
-    order = np.argsort(-eigenvalues, kind="stable")
-    return SpectralDecomposition(eigenvalues[order], vectors[:, order], sweeps)
+    lam, v = np.linalg.eigh(check_hermitian(m))
+    return SpectralDecomposition(lam[::-1], v[:, ::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -232,10 +232,10 @@ def whole_matrix_srm(
     of the union of the per-block spans (an exact, lossless embedding), and a
     single SRM is run on them: no per-block factorisation is assumed anywhere,
     so agreement with `block_srm` is the direct-sum theorem under test, not a
-    restatement of it.  `fock.hermitian_eig` does split its input into the
-    connected components of the exact nonzero pattern, but it reads those
-    from the zeros of whatever dense matrix it is given: a cross-block entry
-    that should vanish and does not joins the blocks, and still gets rotated.
+    restatement of it.  The average state is diagonalised as one dense
+    matrix by `fock.hermitian_eig`, which never looks for its block
+    structure: a cross-block entry that should vanish and does not changes
+    the spectrum and the POVM.
 
     The average state's retained spectrum spans the Poisson weights, so its
     condition number is ~ lambda_max / support_cutoff; POVM completeness in

@@ -210,12 +210,12 @@ class TestCurve:
          "0:nan:2", "nan:1:2", "0:inf:2", "0:1e400:2"],
     )
     def test_degenerate_grids_rejected(self, grid, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(
-                ["curve", "--family", "two_mode", "--metric", "p_corr", "--alpha", grid]
-            )
-        assert excinfo.value.code == 2
-        capsys.readouterr()
+        code, out, err = run(
+            ["curve", "--family", "two_mode", "--metric", "p_corr", "--alpha", grid],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: argument --alpha") and err.count("\n") == 1
 
     def test_huge_grid_refused_before_allocating(self, capsys):
         # 10^12 steps used to fail in numpy with a memory-error traceback
@@ -310,6 +310,17 @@ class TestCurveRequest:
             cli.CurveRequest("two_mode", "p_corr", alphas)
 
     @pytest.mark.parametrize(
+        "variants",
+        [(), ("bogus",), ("pure", "pure"), ("mixed", "pure", "mixed")],
+        ids=["empty", "unknown", "repeated", "repeated_apart"],
+    )
+    def test_bad_variants_are_usage_errors(self, variants):
+        import numpy as np
+
+        with pytest.raises(cli.UsageError, match="variant"):
+            cli.CurveRequest("three_mode", "p_corr", np.linspace(0, 1, 3), variants=variants)
+
+    @pytest.mark.parametrize(
         "alphas, tail_tol",
         [([math.nan, 1.0], 1e-12), ([0.0, -1.0, 1.0], 1e-12), ([0.0, 1.0], 1e-17)],
         ids=["nan_entry", "negative_entry", "tail_tol_1e-17"],
@@ -339,10 +350,9 @@ class TestVerify:
         assert err.startswith("error: --tail-tol") and err.count("\n") == 1
 
     def test_unknown_suite_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["verify", "appendix_z"])
-        assert excinfo.value.code == 2
-        capsys.readouterr()
+        code, out, err = run(["verify", "appendix_z"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: argument suite") and err.count("\n") == 1
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         from qsd import verify
@@ -398,10 +408,9 @@ class TestCircuit:
         assert float(d1.split(":")[1]) == pytest.approx(1.0 - math.exp(-0.5), rel=1e-11)
 
     def test_unknown_preset_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["circuit", "fig9", "--state", "00"])
-        assert excinfo.value.code == 2
-        capsys.readouterr()
+        code, out, err = run(["circuit", "fig9", "--state", "00"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: argument preset") and err.count("\n") == 1
 
     def test_bad_state_label(self, capsys):
         code, _out, err = run(["circuit", "fig3", "--state", "22"], capsys)
@@ -427,3 +436,11 @@ class TestCircuit:
         code, out, err = run(["circuit", "bs2"] + flags, capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [[], ["curve"], ["verify"], ["circuit"]])
+def test_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(command + ["--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qsd")

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -458,3 +460,25 @@ class TestNonFiniteAlpha:
         else:
             with pytest.raises(CapacityError):
                 disc.family_p1bit(tag, variant, math.inf)
+
+
+#: Eigensolvers kept out of the analytic route: LAPACK's and the oracle's
+#: wrappers around it.  The closed forms and the Gram route must not share
+#: a solver with the oracle they are checked against.
+EIGENSOLVER_NAMES = {
+    "hermitian_eig", "psd_spectrum", "matrix_function", "support_projector",
+    "eig", "eigh", "eigvals", "eigvalsh",
+}
+
+
+@pytest.mark.parametrize("module", [disc, symmetric], ids=["discrimination", "symmetric"])
+def test_analytic_route_names_no_eigensolver(module):
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update({node.name.rpartition(".")[2], node.asname})
+    assert not names & EIGENSOLVER_NAMES
