@@ -43,6 +43,10 @@ CURVE_METRICS = {
     "delta_p_corr": disc.COHERENT_FAMILIES,
 }
 
+#: Metrics with value columns per variant; each other metric has one column
+#: and takes no variant list.
+VARIANT_METRICS = ("p_corr", "p_1bit", "b_ot")
+
 
 #: Most |alpha| grid points one curve may have.  A million points of the
 #: slowest curve (phase_encoded b_ot) take about 7 s and 0.42 GB on a 2-vCPU
@@ -87,7 +91,7 @@ class CurveRequest:
     family: str
     metric: str
     alphas: np.ndarray
-    variants: tuple[str, ...] = ("pure", "mixed")
+    variants: tuple[str, ...] = disc.VARIANTS
     prior: float = 0.5
     tail_tol: float = field(default_factory=default_tail_tol)
 
@@ -111,6 +115,8 @@ class CurveRequest:
             raise UsageError(
                 "alpha grid needs finite entries >= 0, first < last and steps >= 2"
             )
+        if self.metric not in VARIANT_METRICS and self.variants != disc.VARIANTS:
+            raise UsageError(f"metric {self.metric!r} has one column and takes no variants")
         if not self.variants:
             raise UsageError("empty variant list")
         for v in self.variants:
@@ -120,51 +126,40 @@ class CurveRequest:
             raise UsageError(f"repeated variant in {','.join(self.variants)}")
         if not 0.0 < self.prior < 1.0:
             raise UsageError(f"prior {self.prior} outside (0, 1)")
+        if self.prior != 0.5 and self.family != "two_mode":
+            raise UsageError("a prior applies to the two_mode family only")
         try:
             check_tail_tol(self.tail_tol, "tail_tol")
         except ValueError as exc:
             raise UsageError(str(exc)) from None
 
 
-def _curve_columns(request: CurveRequest) -> list[np.ndarray]:
-    """The value columns of a curve, each computed over the whole grid at once."""
-    family, metric, variants = request.family, request.metric, request.variants
+def _curve_columns(request: CurveRequest) -> list[tuple[str, np.ndarray]]:
+    """The (header, values) columns of a curve, each computed over the whole
+    grid at once."""
+    family, metric = request.family, request.metric
     alphas, prior, tail_tol = request.alphas, request.prior, request.tail_tol
-    if metric == "p_corr":
-        return [
-            disc.family_pcorr(family, v, alphas, prior=prior, tail_tol=tail_tol)
-            for v in variants
-        ]
-    if metric == "p_unambiguous":
-        return [disc.four_mode_unambiguous(alphas)]
-    if metric == "p_1bit":
-        return [disc.family_p1bit(family, v, alphas, tail_tol) for v in variants]
-    if metric == "b_ot":
-        columns = []
-        for v in variants:
-            columns.append(disc.family_p1bit(family, v, alphas, tail_tol))
-            columns.append(disc.family_bot(family, v, alphas, tail_tol))
-        return columns
-    return [disc.delta_pcorr(family, alphas, prior=prior, tail_tol=tail_tol)]
-
-
-def _curve_header(metric: str, variants: Sequence[str]) -> list[str]:
-    if metric == "p_unambiguous":
-        return ["alpha_abs", "p_unambiguous"]
-    if metric == "delta_p_corr":
-        return ["alpha_abs", "delta_p_corr"]
-    if metric == "b_ot":
-        cols = ["alpha_abs"]
-        for v in variants:
-            cols += [f"p_1bit_{v}", f"b_ot_{v}"]
-        return cols
-    return ["alpha_abs"] + [f"{metric}_{v}" for v in variants]
+    if metric not in VARIANT_METRICS:
+        if metric == "p_unambiguous":
+            return [(metric, disc.four_mode_unambiguous(alphas))]
+        return [(metric, disc.delta_pcorr(family, alphas, prior=prior, tail_tol=tail_tol))]
+    columns = []
+    for v in request.variants:
+        if metric == "p_corr":
+            values = disc.family_pcorr(family, v, alphas, prior=prior, tail_tol=tail_tol)
+            columns.append((f"p_corr_{v}", values))
+        else:
+            columns.append((f"p_1bit_{v}", disc.family_p1bit(family, v, alphas, tail_tol)))
+        if metric == "b_ot":
+            columns.append((f"b_ot_{v}", disc.family_bot(family, v, alphas, tail_tol)))
+    return columns
 
 
 def cmd_curve(request: CurveRequest, out: TextIO) -> int:
-    columns = [request.alphas] + _curve_columns(request)
+    named = _curve_columns(request)
+    columns = [request.alphas] + [values for _name, values in named]
     row_format = ",".join([VALUE_FORMAT] * len(columns))
-    lines = [",".join(_curve_header(request.metric, request.variants))]
+    lines = [",".join(["alpha_abs"] + [name for name, _values in named])]
     lines += [row_format.format(*row) for row in zip(*(c.tolist() for c in columns))]
     out.write("\n".join(lines) + "\n")
     return 0
@@ -173,11 +168,13 @@ def cmd_curve(request: CurveRequest, out: TextIO) -> int:
 def _curve_request(args: argparse.Namespace) -> CurveRequest:
     if args.prior is not None and args.family != "two_mode":
         raise UsageError("--prior applies to the two_mode family only")
+    if args.variants is not None and args.metric not in VARIANT_METRICS:
+        raise UsageError(f"--variants applies to metrics {', '.join(VARIANT_METRICS)} only")
     return CurveRequest(
         family=args.family,
         metric=args.metric,
         alphas=args.alpha,
-        variants=args.variants,
+        variants=disc.VARIANTS if args.variants is None else args.variants,
         prior=0.5 if args.prior is None else args.prior,
         tail_tol=args.tail_tol,
     )
@@ -247,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument(
         "--variants",
         type=_parse_variants,
-        default=("pure", "mixed"),
-        help="comma list among pure,mixed (default both)",
+        default=None,
+        help="comma list among pure,mixed (default both); p_corr, p_1bit and b_ot only",
     )
     curve.add_argument(
         "--alpha",

@@ -3,9 +3,9 @@
 Minimum-error (p_corr), unambiguous, one-bit Helstrom (p_1bit) and full
 cheating (b_ot) probabilities, for the pure families and their
 phase-randomized counterparts.  Mixed-state values are Poisson-weighted
-series over photon-number subspaces; every alternating or trigonometric
-factor inside a series is evaluated with exact parity logic so radicands
-that vanish identically do so to the last bit.
+series over photon-number subspaces.  Every overlap is read from the exact
+integer family row `CoherentFamily.gram_row`, and block overlaps are rounded
+once, so radicands that vanish identically do so to the last bit.
 """
 
 from __future__ import annotations
@@ -125,14 +125,21 @@ def _subspace_table(tag: str, metric: str) -> tuple[float, ...]:
 
     `metric` is "p_corr" (square-root measurement, optimal for symmetric pure
     states) or "p_1bit"; the vacuum entry is the random guess, 1/L among the
-    L states or 1/2 for one bit.  The table does not depend on |alpha|, so
-    it is built once per (family, metric).
+    L states or 1/2 for one bit.  Entry N reads F_N = c_1^N and G_N = c_2^N
+    (real for four states, c_2 = conj(c_2)), by one exact multiply per N.  The
+    table does not depend on |alpha|, so it is built once per (family, metric).
     """
+    family = FAMILIES[tag]
     if metric == "p_1bit":
         vacuum, term = 0.5, _p1bit_subspace_term
     else:
-        vacuum, term = 1.0 / SymmetricFamilySpec(tag).n_states, _pcorr_subspace_term
-    return (vacuum,) + tuple(term(tag, n) for n in range(1, DEFAULT_N_CAP + 1))
+        vacuum, term = 1.0 / len(family.orbit), _pcorr_subspace_term
+    (a, b), (z2, _) = family.gram_row[1:3]
+    table, re, im, g, scale = [vacuum], a, b, z2, family.modes
+    for _ in range(DEFAULT_N_CAP):
+        table.append(term(tag, re / scale, im / scale, g / scale))
+        re, im, g, scale = re * a - im * b, re * b + im * a, g * z2, scale * family.modes
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -258,12 +265,6 @@ def two_mode_pure_pcorr(m, w, p_min: float = 0.5):
     return 0.5 + 0.5 * m.sqrt(radicand)
 
 
-@_closed_form
-def two_mode_unambiguous(m, w):
-    """Success of the optimal unambiguous measurement, 1 - exp(-2|alpha|^2)."""
-    return 1.0 - m.exp(-2.0 * w)
-
-
 # ---------------------------------------------------------------------------
 # three-mode family
 
@@ -274,23 +275,10 @@ def three_mode_mixed_pcorr(
     """Minimum-error probability for the phase-randomized three-mode states.
 
     Poisson series with per-subspace square-root-measurement success
-    (1/16) [3 sqrt(1 - s 3^-N) + sqrt(1 + 3 s 3^-N)]^2, where s = (-1)^N is
-    handled as an exact parity sign.  Returns (value, number of terms).
+    (1/16) [3 sqrt(1 - G_N) + sqrt(1 + 3 G_N)]^2, where G_N = (-1/3)^N is
+    the block overlap c_2^N.  Returns (value, number of terms).
     """
     return _mixed_series("three_mode", "p_corr", alpha_abs, tail_tol)
-
-
-def _signed_third_power(n: int) -> float:
-    """(-3)^-N via parity sign and 1/3^N; 1 + 3*(-1/3) cancels to exactly 0.
-
-    3^N overflows from N = 647 on; there 3^-N is the (sub)normal or zero
-    magnitude it underflows to.
-    """
-    try:
-        magnitude = 1.0 / 3.0**n
-    except OverflowError:
-        magnitude = 3.0**-n
-    return -magnitude if n % 2 else magnitude
 
 
 @_closed_form
@@ -335,46 +323,34 @@ def four_mode_pure_pcorr(m, w):
 # phase-encoded two-mode family
 
 
-def _cos2_quarter(n: int) -> float:
-    """cos^2(N pi / 4) by parity: exact {1, 1/2, 0, 1/2} cycle."""
-    return (1.0, 0.5, 0.0, 0.5)[n % 4]
-
-
-def _sin2_quarter(n: int) -> float:
-    """sin^2(N pi / 4) by parity: exact {0, 1/2, 1, 1/2} cycle."""
-    return (0.0, 0.5, 1.0, 0.5)[n % 4]
-
-
 def phase_encoded_mixed_pcorr(
     alpha_abs: float, tail_tol: float | None = None
 ) -> tuple[float, int]:
     """Minimum-error probability for the phase-randomized phase-encoded states.
 
     Poisson series whose N-th bracket is
-    sqrt(1 + sqrt(1 - 2^(2-N) cos^2(N pi/4))) + sqrt(1 + sqrt(1 - 2^(2-N) sin^2(N pi/4))),
-    squared and divided by 8; trigonometric squares come from the exact
-    period-4 table so the N = 1, 2 radicands vanish identically.
+    sqrt(1 + sqrt(1 - 4 (Re F_N)^2)) + sqrt(1 + sqrt(1 - 4 (Im F_N)^2)),
+    squared and divided by 8, where F_N = ((1 + i)/2)^N is the block overlap
+    c_1^N; it is exact, so the N = 1, 2 radicands vanish identically.
     This same quantity is the receiver's full cheating probability b_ot.
     Returns (value, number of terms).
     """
     return _mixed_series("phase_encoded", "p_corr", alpha_abs, tail_tol)
 
 
-def _pcorr_subspace_term(tag: str, n: int) -> float:
-    """Square-root-measurement success in the N-photon subspace (N >= 1).
+def _pcorr_subspace_term(tag: str, re: float, im: float, g: float) -> float:
+    """Square-root-measurement success in an N-photon subspace (N >= 1).
 
-    The three-mode and phase-encoded brackets above, with exact parity
-    logic so radicands that vanish identically do so in floating point.
+    The three-mode and phase-encoded brackets above, from the block overlaps
+    F_N = re + i im and G_N = g.
     """
     if tag == "three_mode":
-        g = _signed_third_power(n)
         bracket = 3.0 * math.sqrt(_clip_radicand(1.0 - g)) + math.sqrt(
             _clip_radicand(1.0 + 3.0 * g)
         )
         return bracket**2 / 16.0
-    scale = math.ldexp(1.0, 2 - n)  # 2^(2-N), exact
-    rc = _clip_radicand(1.0 - scale * _cos2_quarter(n))
-    rs = _clip_radicand(1.0 - scale * _sin2_quarter(n))
+    rc = _clip_radicand(1.0 - 4.0 * (re * re))
+    rs = _clip_radicand(1.0 - 4.0 * (im * im))
     bracket = math.sqrt(1.0 + math.sqrt(rc)) + math.sqrt(1.0 + math.sqrt(rs))
     return bracket**2 / 8.0
 
@@ -417,7 +393,8 @@ def family_pcorr(
     """Minimum-error probability of a coherent family, pure or mixed.
 
     `alpha_abs` is one |alpha| (returns a float) or a 1-D grid (returns an
-    array, each entry bit-identical to the single-point call).
+    array, each entry bit-identical to the single-point call).  `prior` is
+    one state's prior; every family but two_mode takes only 1/2.
     """
     tag = _family_tag(family)
     if variant not in VARIANTS:
@@ -426,6 +403,8 @@ def family_pcorr(
         if variant == "mixed":
             return two_mode_mixed_pcorr(alpha_abs, prior)
         return two_mode_pure_pcorr(alpha_abs, prior)
+    if prior != 0.5:
+        raise ValueError(f"prior {prior} applies to the two_mode family only, not {tag}")
     if variant == "mixed":
         if tag == "four_mode":
             return four_mode_mixed_pcorr(alpha_abs)
@@ -503,24 +482,18 @@ def _p1bit_from_squares(m, re2, im2, g):
 
 
 def _pure_overlap_parts(m, tag: str, w):
-    """(Re F, Im F, G) of the pure overlaps at w = |alpha|^2, a float or an array."""
-    if tag == "three_mode":
-        return m.exp(-2.0 * w), 0.0, m.exp(-4.0 * w)
-    if tag == "four_mode":
-        e = m.exp(-4.0 * w)
-        return e, 0.0, e
-    decay = m.exp(-w)
-    return decay * m.cos(w), decay * m.sin(w), m.exp(-2.0 * w)
+    """(Re F, Im F, G) of the pure overlaps at w = |alpha|^2, a float or an array.
 
-
-def pure_overlaps(family, alpha_abs: float) -> tuple[complex, float]:
-    """(F, G) pairwise overlaps of the pure four-state coherent families."""
-    tag = _family_tag(family)
-    w = _intensity(alpha_abs)
-    if tag not in FOUR_STATE_FAMILIES:
-        raise ValueError(f"{tag} does not encode two bits in four states")
-    re, im, g = _pure_overlap_parts(_POINT_OPS, tag, w)
-    return complex(re, im), g
+    <a_0|a_k> = exp(-(M - Re z_k) w) e^{i Im z_k w} from the family row z_k,
+    with exact integer coefficients; G is real, as in `_subspace_table`.
+    """
+    family = FAMILIES[tag]
+    (f_re, f_im), (g_re, _) = family.gram_row[1:3]
+    decay = m.exp(-(family.modes - f_re) * w)
+    g = m.exp(-(family.modes - g_re) * w)
+    if not f_im:
+        return decay, 0.0, g
+    return decay * m.cos(f_im * w), decay * m.sin(f_im * w), g
 
 
 @_closed_form
@@ -530,53 +503,44 @@ def _pure_p1bit(m, w, tag: str):
     return _p1bit_from_squares(m, re * re, im * im, g)
 
 
+def _gaussian_power(z: tuple[int, int], n: int) -> tuple[int, int]:
+    """z^n of a Gaussian integer z = (a, b), by repeated squaring."""
+    (a, b), (re, im) = z, (1, 0)
+    if not b:
+        return a**n, 0
+    while n:
+        if n & 1:
+            re, im = re * a - im * b, re * b + im * a
+        a, b, n = a * a - b * b, 2 * a * b, n >> 1
+    return re, im
+
+
 def subspace_overlaps(family, photons: int) -> np.ndarray:
-    """First Gram row <psi_0|psi_k> of the N-photon subspace states, in closed form.
+    """First Gram row <psi_0|psi_k> = c_k^N of the N-photon subspace states.
 
-    Independent of the numerically computed Gram matrices: overlaps follow
-    from multinomial sums of the per-mode phases, evaluated with exact parity
-    logic.  For the four-state families the row is (1, F_N, G_N, conj F_N).
-    All states coincide with the vacuum at N = 0, so that row is all ones.
+    Independent of the numerically computed Gram matrices: each z_k^N / M^N
+    from the family row is raised in Python integers and rounded once, so it
+    is correctly rounded for any N.  For the four-state families the row is
+    (1, F_N, G_N, conj F_N).
     """
-    tag = _family_tag(family)
-    n = photons
-    if n < 0:
-        raise ValueError(f"negative photon number {n}")
-    if n == 0:
-        return np.ones(2 if tag == "two_mode" else 4, dtype=np.complex128)
-    if tag == "two_mode":
-        return np.array([1.0, 0.0], dtype=np.complex128)
-    if tag == "three_mode":
-        g = _signed_third_power(n)
-        return np.array([1.0, abs(g), g, abs(g)], dtype=np.complex128)
-    if tag == "four_mode":
-        return np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
-    mag = math.sqrt(math.ldexp(1.0, -n))  # 2^(-N/2)
-    f = mag * complex(
-        math.copysign(math.sqrt(_cos2_quarter(n)), math.cos(n * math.pi / 4.0)),
-        math.copysign(math.sqrt(_sin2_quarter(n)), math.sin(n * math.pi / 4.0)),
-    )
-    return np.array([1.0, f, 0.0, f.conjugate()], dtype=np.complex128)
+    family = FAMILIES[_family_tag(family)]
+    if photons < 0:
+        raise ValueError(f"negative photon number {photons}")
+    scale = family.modes**photons
+    powers = [_gaussian_power(z, photons) for z in family.gram_row]
+    return np.array([complex(re / scale, im / scale) for re, im in powers])
 
 
-def _p1bit_subspace_term(tag: str, n: int) -> float:
-    """One-bit Helstrom success in the N-photon subspace (N >= 1).
+def _p1bit_subspace_term(tag: str, re: float, im: float, g: float) -> float:
+    """One-bit Helstrom success in an N-photon subspace (N >= 1).
 
-    Uses per-family factored radicands so terms that vanish identically
-    (e.g. 1 + 3 G_N at N = 1 for the three-mode family) cancel exactly in
-    floating point; equivalent to the generic overlap formula.
+    From the block overlaps F_N = re + i im and G_N = g.  The three-mode
+    radicand stays factored, so 1 + 3 G_N cancels exactly at N = 1.
     """
-    if tag == "four_mode":
-        # subspace states are orthonormal: the bit is read perfectly
-        return 1.0
     if tag == "three_mode":
-        g = _signed_third_power(n)
         root = math.sqrt(_clip_radicand((1.0 - g) * (1.0 + 3.0 * g)))
         return 0.5 + 0.25 * ((1.0 - g) + root)
-    # phase_encoded: G_N = 0 and |F_N|^2 = 2^-N with exact quarter-turn parts
-    re2 = math.ldexp(_cos2_quarter(n), -n)
-    im2 = math.ldexp(_sin2_quarter(n), -n)
-    return _p1bit_from_squares(_POINT_OPS, re2, im2, 0.0)
+    return _p1bit_from_squares(_POINT_OPS, re * re, im * im, g)
 
 
 def family_p1bit(family, variant: str, alpha_abs, tail_tol: float | None = None):

@@ -65,6 +65,16 @@ class CoherentFamily:
                 return tuple(members)
             members.append(image)
 
+    @cached_property
+    def gram_row(self) -> tuple[tuple[int, int], ...]:
+        """z_k = sum_m i^(t_k,m - t_0,m) per member, as Gaussian integers (re, im).
+
+        c_k = z_k / M = <a_0, a_k> / |a_0|^2 exactly, so the N-photon blocks
+        overlap by c_k^N and the pure states by exp(-(M - z_k) |alpha|^2).
+        """
+        turns = [[(t - s) % 4 for s, t in zip(self.seed, member)] for member in self.orbit]
+        return tuple((q.count(0) - q.count(2), q.count(1) - q.count(3)) for q in turns)
+
 
 _TWO_BITS = ("00", "01", "11", "10")
 

@@ -107,6 +107,19 @@ class TestCurve:
             1.0 - math.exp(-4.0), rel=1e-11
         )
 
+    @pytest.mark.parametrize("variants", ["mixed", "pure", "pure,mixed"])
+    @pytest.mark.parametrize(
+        "metric, family", [("p_unambiguous", "four_mode"), ("delta_p_corr", "three_mode")]
+    )
+    def test_variants_refused_for_single_column_metrics(self, metric, family, variants, capsys):
+        code, out, err = run(
+            ["curve", "--family", family, "--metric", metric, "--variants", variants,
+             "--alpha", "0:1:2"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --variants") and err.count("\n") == 1
+
     def test_deterministic_output(self, capsys):
         argv = [
             "curve",
@@ -319,6 +332,22 @@ class TestCurveRequest:
 
         with pytest.raises(cli.UsageError, match="variant"):
             cli.CurveRequest("three_mode", "p_corr", np.linspace(0, 1, 3), variants=variants)
+
+    @pytest.mark.parametrize("metric", ["p_unambiguous", "delta_p_corr"])
+    def test_single_column_metrics_take_no_variants(self, metric):
+        import numpy as np
+
+        grid = np.linspace(0, 1, 3)
+        assert cli.CurveRequest("four_mode", metric, grid).variants == disc.VARIANTS
+        with pytest.raises(cli.UsageError, match="variants"):
+            cli.CurveRequest("four_mode", metric, grid, variants=("mixed",))
+
+    @pytest.mark.parametrize("family", disc.FOUR_STATE_FAMILIES)
+    def test_prior_outside_two_mode_is_usage_error(self, family):
+        import numpy as np
+
+        with pytest.raises(cli.UsageError, match="prior"):
+            cli.CurveRequest(family, "p_corr", np.linspace(0, 1, 3), prior=0.1)
 
     @pytest.mark.parametrize(
         "alphas, tail_tol",

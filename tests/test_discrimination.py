@@ -1,5 +1,6 @@
 import ast
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -68,12 +69,6 @@ class TestTwoMode:
         _povm, p_corr = oracle.helstrom_two(vectors[0], vectors[1], 0.25)
         assert p_corr == pytest.approx(disc.two_mode_pure_pcorr(0.5, 0.25), abs=1e-8)
 
-    def test_unambiguous_success(self):
-        assert disc.two_mode_unambiguous(0.0) == 0.0
-        assert disc.two_mode_unambiguous(0.5) == pytest.approx(
-            1.0 - math.exp(-0.5), abs=1e-15
-        )
-
 
 class TestThreeMode:
     def test_vacuum_limit(self):
@@ -113,21 +108,21 @@ class TestThreeMode:
 
     def test_third_power_below_overflow_is_unchanged(self):
         # 3^646 is the last power of three below the largest float
-        f = 1.0 / 3.0**646
-        assert disc._signed_third_power(646) == f
-        assert disc._signed_third_power(645) == -1.0 / 3.0**645
+        f = 1 / 3**646
+        assert f > 0.0
         np.testing.assert_array_equal(
             disc.subspace_overlaps("three_mode", 646), [1.0, f, f, f]
         )
+        assert disc.subspace_overlaps("three_mode", 645)[2] == -(1 / 3**645)
 
     @pytest.mark.parametrize("n", [647, 700, 10_000])
     def test_past_third_power_overflow(self, n):
-        g = disc._signed_third_power(n)
-        assert abs(g) < 1e-308 and (g <= 0.0 if n % 2 else g >= 0.0)
         row = disc.subspace_overlaps("three_mode", n)
+        g = row[2].real
+        assert abs(g) < 1e-308 and (g <= 0.0 if n % 2 else g >= 0.0)
         assert np.isfinite(row).all() and row[0] == 1.0
         for term in (disc._pcorr_subspace_term, disc._p1bit_subspace_term):
-            assert term("three_mode", n) == 1.0
+            assert term("three_mode", row[1].real, row[1].imag, g) == 1.0
 
 
 class TestFourMode:
@@ -363,6 +358,44 @@ class TestDeltaAndShapes:
                     best_alpha, best = i * 0.005, d
             assert disc.delta_pcorr_max(tag) == (best_alpha, best)
 
+    @pytest.mark.parametrize("tag", FOUR_STATE)
+    def test_prior_applies_to_two_mode_only(self, tag):
+        for variant in disc.VARIANTS:
+            with pytest.raises(ValueError, match="prior"):
+                disc.family_pcorr(tag, variant, 1.0, prior=0.1)
+        with pytest.raises(ValueError, match="prior"):
+            disc.delta_pcorr(tag, 1.0, prior=0.1)
+
+
+@pytest.mark.parametrize("tag", disc.COHERENT_FAMILIES)
+def test_subspace_overlaps_are_correctly_rounded(tag):
+    # c_k = <a_0, a_k> / |a_0|^2 as exact rationals, from the orbit's quarter turns
+    orbit = SymmetricFamilySpec(tag).phase_exponents()
+    units = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    c = []
+    for member in orbit:
+        steps = [units[(t - s) % 4] for s, t in zip(orbit[0], member)]
+        c.append(tuple(Fraction(sum(part), len(steps)) for part in zip(*steps)))
+    power = [(Fraction(1), Fraction(0))] * len(c)
+    for n in range(201):
+        expected = [complex(float(re), float(im)) for re, im in power]
+        assert disc.subspace_overlaps(tag, n).tolist() == expected, n
+        power = [(a * x - b * y, a * y + b * x) for (a, b), (x, y) in zip(power, c)]
+
+
+def test_overlap_functions_name_no_family():
+    # every overlap is read from the family row, never decided per family
+    tags = set(symmetric.FAMILIES)
+    found = set()
+    for node in ast.parse(Path(disc.__file__).read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name in (
+            "subspace_overlaps", "_pure_overlap_parts"
+        ):
+            found.add(node.name)
+            literals = {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)}
+            assert not literals & tags, node.name
+    assert found == {"subspace_overlaps", "_pure_overlap_parts"}
+
 
 def fixed_step_inverse(fn, target, lo, hi, iterations=80):
     """The bisection with every one of its `iterations` steps taken."""
@@ -417,12 +450,14 @@ class TestLargeAlphaLimits:
         assert disc.family_pcorr("two_mode", "mixed", alpha, prior=0.3) == 1.0
         assert disc.four_mode_mixed_pcorr(alpha) == 1.0
         assert disc.four_mode_unambiguous(alpha) == 1.0
-        assert disc.two_mode_unambiguous(alpha) == 1.0
         assert disc.delta_pcorr("four_mode", alpha) == 0.0
 
     def test_pure_overlaps_vanish(self, alpha):
+        # exact zeros, so p_1bit is that of orthogonal states
         for tag in FOUR_STATE:
-            assert disc.pure_overlaps(tag, alpha) == (0.0, 0.0)
+            w = disc._intensity(alpha)
+            assert disc._pure_overlap_parts(disc._POINT_OPS, tag, w) == (0.0, 0.0, 0.0)
+            assert disc.family_p1bit(tag, "pure", alpha) == disc.p1bit_from_overlaps(0, 0)
 
     def test_mixed_series_hit_the_cap(self, alpha):
         for tag in ("three_mode", "phase_encoded"):

@@ -246,7 +246,6 @@ CLOSED_FORMS = [
      lambda a: disc.family_pcorr("two_mode", "pure", a, prior=0.25), 0.75, 1.0),
     ("p_corr four_mode mixed", lambda a: disc.family_pcorr("four_mode", "mixed", a), 0.25, 1.0),
     ("p_unambiguous four_mode", disc.four_mode_unambiguous, 0.0, 1.0),
-    ("p_unambiguous two_mode", disc.two_mode_unambiguous, 0.0, 1.0),
     ("delta_p_corr two_mode", lambda a: disc.delta_pcorr("two_mode", a), 0.0, 0.0),
     ("delta_p_corr four_mode", lambda a: disc.delta_pcorr("four_mode", a), 0.0, 0.0),
 ] + [

@@ -95,7 +95,7 @@ class TestClickStatistics:
         assert probs["D2"] == 0.0
         # no-click probability is the unambiguous failure probability
         assert stats.no_click_probability == pytest.approx(
-            1.0 - disc.two_mode_unambiguous(alpha), abs=1e-15
+            math.exp(-2.0 * alpha**2), abs=1e-15
         )
 
     def test_phase_randomization_invariance(self):
