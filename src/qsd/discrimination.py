@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .phase_rand import DEFAULT_N_CAP, poisson_series, poisson_series_grid
+from .phase_rand import DEFAULT_N_CAP, default_tail_tol, poisson_series, poisson_series_grid
 from .symmetric import FAMILIES, SymmetricFamilySpec
 
 COHERENT_FAMILIES = tuple(FAMILIES)
@@ -30,7 +30,9 @@ VARIANTS = ("pure", "mixed")
 
 #: Grid points per vectorised Poisson pass.  A pass holds two (points x 151)
 #: float arrays, so this bounds them near 2.5 MB whatever the grid's length;
-#: every grid the library scans itself (at most 801 points) is one pass.
+#: every grid the library scans itself (at most 801 points) is one pass.  The
+#: weights of the last four passes stay in `_grid_weights`: at most 1.2 MB
+#: for a full chunk, and 190-310 KB for a 301-point grid on |alpha| in [0, 4].
 GRID_CHUNK = 1024
 
 
@@ -120,26 +122,37 @@ _GRID_OPS = SimpleNamespace(
 
 
 @lru_cache(maxsize=None)
+def _block_overlaps(tag: str) -> tuple[tuple[float, float, float], ...]:
+    """(Re F_N, Im F_N, G_N) for N = 1..DEFAULT_N_CAP, each rounded once.
+
+    F_N = c_1^N and G_N = c_2^N (real for four states, c_2 = conj(c_2)), by
+    one exact Gaussian-integer multiply per N from the family row; both
+    metric tables of a family read this one sequence.
+    """
+    family = FAMILIES[tag]
+    (a, b), (z2, _) = family.gram_row[1:3]
+    rows, re, im, g, scale = [], a, b, z2, family.modes
+    for _ in range(DEFAULT_N_CAP):
+        rows.append((re / scale, im / scale, g / scale))
+        re, im, g, scale = re * a - im * b, re * b + im * a, g * z2, scale * family.modes
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
 def _subspace_table(tag: str, metric: str) -> tuple[float, ...]:
     """s_N for N = 0..DEFAULT_N_CAP: the per-subspace success of a mixed metric.
 
     `metric` is "p_corr" (square-root measurement, optimal for symmetric pure
     states) or "p_1bit"; the vacuum entry is the random guess, 1/L among the
-    L states or 1/2 for one bit.  Entry N reads F_N = c_1^N and G_N = c_2^N
-    (real for four states, c_2 = conj(c_2)), by one exact multiply per N.  The
-    table does not depend on |alpha|, so it is built once per (family, metric).
+    L states or 1/2 for one bit, and entry N is the metric's term at the
+    block overlaps `_block_overlaps`.  The table does not depend on |alpha|,
+    so it is built once per (family, metric).
     """
-    family = FAMILIES[tag]
     if metric == "p_1bit":
         vacuum, term = 0.5, _p1bit_subspace_term
     else:
-        vacuum, term = 1.0 / len(family.orbit), _pcorr_subspace_term
-    (a, b), (z2, _) = family.gram_row[1:3]
-    table, re, im, g, scale = [vacuum], a, b, z2, family.modes
-    for _ in range(DEFAULT_N_CAP):
-        table.append(term(tag, re / scale, im / scale, g / scale))
-        re, im, g, scale = re * a - im * b, re * b + im * a, g * z2, scale * family.modes
-    return tuple(table)
+        vacuum, term = 1.0 / len(FAMILIES[tag].orbit), _pcorr_subspace_term
+    return (vacuum, *(term(tag, re, im, g) for re, im, g in _block_overlaps(tag)))
 
 
 @lru_cache(maxsize=None)
@@ -166,21 +179,39 @@ def _mixed_series(
     return total, len(weights)
 
 
+@lru_cache(maxsize=4)
+def _grid_weights(means: bytes, tail_tol: float) -> np.ndarray:
+    """Read-only `poisson_series_grid` of one chunk of means, given as bytes.
+
+    The weights depend on the mean photon numbers only, so every mixed
+    metric of a family over one grid reads the same pass: a process keeps
+    the last four (means, tail tolerance) passes.  A failing pass raises
+    and is not kept.
+    """
+    weights = poisson_series_grid(np.frombuffer(means), tail_tol)
+    weights.flags.writeable = False
+    return weights
+
+
 def _mixed_column(
     tag: str, metric: str, alphas: np.ndarray, tail_tol: float | None
 ) -> np.ndarray:
     """`_mixed_series` values over a 1-D |alpha| grid, bit-identical per point.
 
-    One `poisson_series_grid` pass per chunk of points; each row's terms
+    One shared `_grid_weights` pass per chunk of points; each row's terms
     p_N s_N are summed left to right by np.add.accumulate, and the zero
-    weights past a row's truncation leave its sum unchanged.
+    weights past a row's truncation leave its sum unchanged.  The tolerance
+    is resolved first, so a changed QSD_TAIL_TOL reads a new pass.
     """
-    means = FAMILIES[tag].modes * _intensities(alphas)
+    with np.errstate(over="ignore"):  # M times the largest float is inf, as for a point
+        means = FAMILIES[tag].modes * _intensities(alphas)
+    if tail_tol is None:
+        tail_tol = default_tail_tol()
     table = _subspace_array(tag, metric)
     out = np.empty(means.size)
     for start in range(0, means.size, GRID_CHUNK):
-        terms = poisson_series_grid(means[start : start + GRID_CHUNK], tail_tol)
-        terms *= table[: terms.shape[1]]  # in place: p_N s_N
+        weights = _grid_weights(means[start : start + GRID_CHUNK].tobytes(), tail_tol)
+        terms = weights * table[: weights.shape[1]]  # p_N s_N, in a fresh array
         out[start : start + GRID_CHUNK] = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
     return out
 

@@ -258,15 +258,13 @@ def hermitian_eig(m: np.ndarray) -> SpectralDecomposition:
 # spectral matrix functions
 
 
-def psd_spectrum(
-    m: np.ndarray, support_cutoff: float | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def psd_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues, eigenvectors and support mask of a PSD matrix.
 
     Eigenvalues in [-PSD_TOLERANCE, 0) are clipped to zero; anything lower
     raises NotPositiveSemidefiniteError.  An eigenvalue is on the support
-    when it is positive and at least `support_cutoff`, by default 1e-10 times
-    the largest eigenvalue, which makes the support scale-invariant.
+    when it is positive and at least 1e-10 times the largest eigenvalue,
+    which makes the support scale-invariant.
     """
     dec = hermitian_eig(m)
     lam = dec.eigenvalues.copy()
@@ -275,9 +273,7 @@ def psd_spectrum(
             f"eigenvalue {lam[-1]:.3e} below -{PSD_TOLERANCE:.1e}"
         )
     lam[lam < 0.0] = 0.0
-    if support_cutoff is None:
-        support_cutoff = 1e-10 * (lam[0] if lam.size else 0.0)
-    on_support = (lam >= support_cutoff) & (lam > 0.0)
+    on_support = (lam >= 1e-10 * (lam[0] if lam.size else 0.0)) & (lam > 0.0)
     return lam, dec.eigenvectors, on_support
 
 

@@ -61,11 +61,7 @@ def _as_density_matrix(state: np.ndarray) -> np.ndarray:
     return fock.check_hermitian(state)
 
 
-def srm(
-    states: Sequence[np.ndarray],
-    priors: Sequence[float],
-    support_cutoff: float | None = None,
-) -> tuple[Povm, float]:
+def srm(states: Sequence[np.ndarray], priors: Sequence[float]) -> tuple[Povm, float]:
     """Square-root measurement for arbitrary density matrices.
 
     Builds rho = sum_i p_i rho_i, takes rho^(-1/2) on its support, and returns
@@ -89,7 +85,7 @@ def srm(
             raise ValueError(f"state trace {trace} is not 1")
     average = sum(p * rho for p, rho in zip(priors, rhos))
 
-    lam, v, on_support = fock.psd_spectrum(average, support_cutoff)
+    lam, v, on_support = fock.psd_spectrum(average)
     inv_sqrt_lam = np.where(on_support, 1.0 / np.sqrt(np.where(on_support, lam, 1.0)), 0.0)
     inv_sqrt = (v * inv_sqrt_lam) @ v.conj().T
     projector = (v * on_support.astype(float)) @ v.conj().T
@@ -222,9 +218,7 @@ def block_srm(
 
 
 def whole_matrix_srm(
-    blocks: Sequence[Sequence[np.ndarray]],
-    weights: Sequence[float],
-    support_cutoff: float | None = None,
+    blocks: Sequence[Sequence[np.ndarray]], weights: Sequence[float]
 ) -> tuple[Povm, float]:
     """One global SRM over the direct sum of all photon-number blocks.
 
@@ -237,12 +231,13 @@ def whole_matrix_srm(
     structure: a cross-block entry that should vanish and does not changes
     the spectrum and the POVM.
 
-    The average state's retained spectrum spans the Poisson weights, so its
-    condition number is ~ lambda_max / support_cutoff; POVM completeness in
-    Frobenius norm can only be clean to ~ eps * kappa (near-cutoff
-    eigendirections, which carry < 1e-9 of the probability mass).  The
-    success probability weights those directions by their actual mass and is
-    therefore accurate to the tail tolerance regardless.
+    The average state's support keeps eigenvalues down to 1e-10 lambda_max
+    (`fock.psd_spectrum`), and its retained spectrum spans the Poisson
+    weights, so its condition number kappa can reach ~ 1e10; POVM
+    completeness in Frobenius norm can only be clean to ~ eps * kappa
+    (near-cutoff eigendirections, which carry < 1e-9 of the probability
+    mass).  The success probability weights those directions by their
+    actual mass and is therefore accurate to the tail tolerance regardless.
     """
     if len(blocks) != len(weights):
         raise ValueError("one weight per block required")
@@ -259,7 +254,7 @@ def whole_matrix_srm(
         rho = phase_rand.direct_sum([w * np.outer(c, c.conj()) for w, c in zip(weights, member)])
         rhos.append(rho / np.trace(rho).real)
     priors = [1.0 / n_states] * n_states
-    return srm(rhos, priors, support_cutoff=support_cutoff)
+    return srm(rhos, priors)
 
 
 # ---------------------------------------------------------------------------

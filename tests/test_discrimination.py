@@ -383,18 +383,35 @@ def test_subspace_overlaps_are_correctly_rounded(tag):
         power = [(a * x - b * y, a * y + b * x) for (a, b), (x, y) in zip(power, c)]
 
 
+SERIES_TABLES = [("p_corr", "three_mode"), ("p_corr", "phase_encoded")] + [
+    ("p_1bit", tag) for tag in disc.FOUR_STATE_FAMILIES
+]
+
+
+@pytest.mark.parametrize("metric, tag", SERIES_TABLES)
+def test_subspace_table_is_the_term_at_each_blocks_overlaps(metric, tag):
+    # the shared (Re F_N, Im F_N, G_N) sequence gives every entry bit for bit
+    term = {"p_corr": disc._pcorr_subspace_term, "p_1bit": disc._p1bit_subspace_term}[metric]
+    table = disc._subspace_table(tag, metric)
+    assert len(table) == phase_rand.DEFAULT_N_CAP + 1
+    for n in range(1, phase_rand.DEFAULT_N_CAP + 1):
+        _one, f, g = disc.subspace_overlaps(tag, n).tolist()[:3]
+        expected = term(tag, f.real, f.imag, g.real)
+        assert table[n].hex() == expected.hex(), n
+
+
 def test_overlap_functions_name_no_family():
     # every overlap is read from the family row, never decided per family
     tags = set(symmetric.FAMILIES)
     found = set()
     for node in ast.parse(Path(disc.__file__).read_text()).body:
         if isinstance(node, ast.FunctionDef) and node.name in (
-            "subspace_overlaps", "_pure_overlap_parts"
+            "subspace_overlaps", "_pure_overlap_parts", "_block_overlaps"
         ):
             found.add(node.name)
             literals = {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)}
             assert not literals & tags, node.name
-    assert found == {"subspace_overlaps", "_pure_overlap_parts"}
+    assert found == {"subspace_overlaps", "_pure_overlap_parts", "_block_overlaps"}
 
 
 def fixed_step_inverse(fn, target, lo, hi, iterations=80):

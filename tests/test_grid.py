@@ -196,6 +196,7 @@ def test_curve_makes_no_per_point_poisson_series_call(series_calls):
         for family in families:
             calls = []
             for steps in (2, 301):
+                disc._grid_weights.cache_clear()  # count a cold column's calls
                 request = cli.CurveRequest(family, metric, np.linspace(0.0, 4.0, steps))
                 text = io.StringIO()
                 cli.cmd_curve(request, text)
@@ -203,6 +204,110 @@ def test_curve_makes_no_per_point_poisson_series_call(series_calls):
                 calls.append(len(series_calls))
                 series_calls.clear()
             assert calls[0] == calls[1] <= len(request.variants) * 2
+
+
+#: Every (metric, family) with a mixed value, and those of them that are
+#: Poisson series (the rest are closed forms, with no memoized pass).
+MIXED = [(metric, family) for metric, family, variant in SERIES if variant != "pure"]
+MIXED_SERIES = [
+    (metric, family) for metric, family in MIXED
+    if metric == "p_1bit" or family in ("three_mode", "phase_encoded")
+]
+
+SWEEP = np.linspace(0.0, 4.0, 301)
+
+
+def _mixed(metric, family, alphas, tail_tol=None):
+    return FUNCTIONS[metric](family, "mixed", alphas, tail_tol)
+
+
+class TestGridWeightsMemo:
+    @pytest.mark.parametrize("metric, family", MIXED)
+    def test_warm_column_equals_cold_column(self, metric, family):
+        disc._grid_weights.cache_clear()
+        cold = _mixed(metric, family, SWEEP)
+        hits = disc._grid_weights.cache_info().hits
+        warm = _mixed(metric, family, SWEEP)
+        assert warm.tobytes() == cold.tobytes()
+        if (metric, family) in MIXED_SERIES:
+            assert disc._grid_weights.cache_info().hits > hits
+
+    @pytest.mark.parametrize("family", ("three_mode", "phase_encoded"))
+    def test_b_ot_reads_the_pass_p_1bit_made(self, family):
+        disc._grid_weights.cache_clear()
+        cold = disc.family_bot(family, "mixed", SWEEP)
+        disc._grid_weights.cache_clear()
+        disc.family_p1bit(family, "mixed", SWEEP)
+        before = disc._grid_weights.cache_info()
+        warm = disc.family_bot(family, "mixed", SWEEP)
+        after = disc._grid_weights.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert warm.tobytes() == cold.tobytes()
+
+    def test_kept_weights_are_read_only(self):
+        disc._grid_weights.cache_clear()
+        expected = disc.family_pcorr("three_mode", "mixed", SWEEP)
+        means = 3.0 * disc._intensities(SWEEP)
+        weights = disc._grid_weights(means.tobytes(), phase_rand.default_tail_tol())
+        assert disc._grid_weights.cache_info().hits == 1
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            weights[:, 1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            weights *= 2.0
+        # a returned column is the caller's own array, not a view of the memo
+        again = disc.family_pcorr("three_mode", "mixed", SWEEP)
+        again[:] = 0.0
+        assert disc.family_pcorr("three_mode", "mixed", SWEEP).tobytes() == expected.tobytes()
+
+    def test_changed_tail_tol_env_is_not_a_stale_hit(self, monkeypatch):
+        monkeypatch.delenv("QSD_TAIL_TOL", raising=False)
+        disc._grid_weights.cache_clear()
+        default = disc.family_p1bit("phase_encoded", "mixed", SWEEP)
+        monkeypatch.setenv("QSD_TAIL_TOL", "1e-6")
+        loose = disc.family_p1bit("phase_encoded", "mixed", SWEEP)
+        assert not np.array_equal(loose, default)
+        points = [disc.family_p1bit("phase_encoded", "mixed", a, 1e-6) for a in SWEEP.tolist()]
+        assert np.array_equal(loose, points)
+        monkeypatch.delenv("QSD_TAIL_TOL")
+        assert disc.family_p1bit("phase_encoded", "mixed", SWEEP).tobytes() == default.tobytes()
+        assert disc._grid_weights.cache_info().misses == 2
+
+    def test_memo_stays_within_its_bound(self):
+        disc._grid_weights.cache_clear()
+        for k in range(20):
+            disc.family_p1bit("three_mode", "mixed", np.linspace(0.0, 1.0 + k / 20, 11))
+        info = disc._grid_weights.cache_info()
+        assert info.misses == 20
+        assert info.currsize == info.maxsize == 4
+
+    def test_failing_pass_is_never_kept(self):
+        # a grid past the photon cap raises the same error every time
+        alphas = np.linspace(0.0, 8.0, 97)
+        disc._grid_weights.cache_clear()
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(CapacityError) as excinfo:
+                disc.family_pcorr("three_mode", "mixed", alphas)
+            messages.add(str(excinfo.value))
+        assert len(messages) == 1
+        info = disc._grid_weights.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
+
+
+@pytest.mark.parametrize("metric, family", MIXED_SERIES)
+def test_huge_grid_raises_first_points_capacity_error_without_warning(metric, family):
+    # M |alpha|^2 overflows to inf past the float range; a point does so
+    # silently, and the grid must too, then raise that point's error
+    alphas = np.linspace(0.0, 1e300, 5)
+    fn = lambda a: _mixed(metric, family, a)  # noqa: E731
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _values, failure = scalar_values(fn, alphas)
+        with pytest.raises(CapacityError) as excinfo:
+            fn(alphas)
+    assert failure == "CapacityError: exp(-inf) underflows: Poisson weights would vanish"
+    assert f"CapacityError: {excinfo.value}" == failure
 
 
 def _last_float_where(holds, lo: float, hi: float) -> float:

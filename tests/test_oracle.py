@@ -201,9 +201,9 @@ class TestWholeMatrixSrm:
         assert span_value == pytest.approx(literal_value, abs=1e-10)
 
     def test_povm_validates(self):
-        # completeness of the deep-tail POVM is limited by eps * kappa with
-        # kappa = lambda_max / support_cutoff ~ 1e10: the defect sits on
-        # near-cutoff eigendirections holding < 1e-9 of the mass
+        # completeness of the deep-tail POVM is limited by eps * kappa, with
+        # kappa ~ 1e10 at the support's relative cutoff 1e-10: the defect sits
+        # on near-cutoff eigendirections holding < 1e-9 of the mass
         spec = SymmetricFamilySpec("three_mode", 0.6)
         weights, blocks = phase_rand.subspace_state_blocks(spec, 1e-10)
         povm, _value = oracle.whole_matrix_srm(blocks, weights)
@@ -212,9 +212,7 @@ class TestWholeMatrixSrm:
     def test_povm_validates_strictly_at_moderate_conditioning(self):
         spec = SymmetricFamilySpec("three_mode", 0.6)
         weights, blocks = phase_rand.subspace_state_blocks(spec, 1e-4)
-        povm, _value = oracle.whole_matrix_srm(
-            blocks, weights, support_cutoff=1e-7
-        )
+        povm, _value = oracle.whole_matrix_srm(blocks, weights)
         povm.validate()
 
 
