@@ -2,8 +2,7 @@
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
 errors.  All numeric output is a pure function of the flags, so files are
-reproducible bit for bit; the only environment hook is QSD_TAIL_TOL, which
-overrides the default series tail tolerance.
+reproducible bit for bit: no environment variable changes a number.
 """
 
 from __future__ import annotations
@@ -13,14 +12,14 @@ import cmath
 import io
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NoReturn, Sequence, TextIO
 
 import numpy as np
 
 from . import discrimination as disc
 from . import optics, verify
-from .phase_rand import check_tail_tol, default_tail_tol
+from .phase_rand import DEFAULT_TAIL_TOL, check_tail_tol
 from .symmetric import SymmetricFamilySpec
 
 class UsageError(Exception):
@@ -93,7 +92,7 @@ class CurveRequest:
     alphas: np.ndarray
     variants: tuple[str, ...] = disc.VARIANTS
     prior: float = 0.5
-    tail_tol: float = field(default_factory=default_tail_tol)
+    tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self) -> None:
         if self.metric not in CURVE_METRICS:
@@ -129,7 +128,7 @@ class CurveRequest:
         if self.prior != 0.5 and self.family != "two_mode":
             raise UsageError("a prior applies to the two_mode family only")
         try:
-            check_tail_tol(self.tail_tol, "tail_tol")
+            check_tail_tol(self.tail_tol, "tail tolerance")
         except ValueError as exc:
             raise UsageError(str(exc)) from None
 
@@ -180,18 +179,8 @@ def _curve_request(args: argparse.Namespace) -> CurveRequest:
     )
 
 
-def _tail_tol(flag: float | None) -> float:
-    """--tail-tol if given, else QSD_TAIL_TOL, else the default."""
-    try:
-        if flag is None:
-            return default_tail_tol()
-        return check_tail_tol(flag, f"--tail-tol {flag}")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
-    results = verify.run_suite(args.suite, tail_tol=args.tail_tol)
+    results = verify.run_suite(args.suite)
     for result in results:
         print(result.line(), file=out)
     failed = sum(not r.passed for r in results)
@@ -255,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     curve.add_argument("--prior", type=float, default=None,
                        help="smaller prior for the two_mode family (default 1/2)")
-    curve.add_argument("--tail-tol", type=float, default=None,
-                       help="Poisson tail tolerance for series (default 1e-12)")
+    curve.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL,
+                       help=f"Poisson tail tolerance for series (default {DEFAULT_TAIL_TOL:g})")
     curve.add_argument("--output", "-o", default=None, help="CSV path (default stdout)")
 
     ver = sub.add_parser("verify", help="run a verification suite")
@@ -266,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=("all",) + verify.SUITE_NAMES,
     )
-    ver.add_argument("--tail-tol", type=float, default=None)
 
     circ = sub.add_parser("circuit", help="click statistics of a preset circuit")
     circ.add_argument("preset", choices=sorted(optics.PRESET_FAMILIES))
@@ -282,8 +270,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if hasattr(args, "tail_tol"):
-            args.tail_tol = _tail_tol(args.tail_tol)
         if args.command == "verify":
             return cmd_verify(args, sys.stdout)
         if args.command == "curve":

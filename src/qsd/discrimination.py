@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .phase_rand import DEFAULT_N_CAP, default_tail_tol, poisson_series, poisson_series_grid
+from .phase_rand import DEFAULT_N_CAP, DEFAULT_TAIL_TOL, poisson_series, poisson_series_grid
 from .symmetric import FAMILIES, SymmetricFamilySpec
 
 COHERENT_FAMILIES = tuple(FAMILIES)
@@ -155,16 +155,8 @@ def _subspace_table(tag: str, metric: str) -> tuple[float, ...]:
     return (vacuum, *(term(tag, re, im, g) for re, im, g in _block_overlaps(tag)))
 
 
-@lru_cache(maxsize=None)
-def _subspace_array(tag: str, metric: str) -> np.ndarray:
-    """`_subspace_table` as a read-only array, for the column path."""
-    table = np.array(_subspace_table(tag, metric))
-    table.flags.writeable = False
-    return table
-
-
 def _mixed_series(
-    tag: str, metric: str, alpha_abs: float, tail_tol: float | None
+    tag: str, metric: str, alpha_abs: float, tail_tol: float
 ) -> tuple[float, int]:
     """Poisson series sum_N p_N s_N of a phase-randomized family.
 
@@ -194,20 +186,17 @@ def _grid_weights(means: bytes, tail_tol: float) -> np.ndarray:
 
 
 def _mixed_column(
-    tag: str, metric: str, alphas: np.ndarray, tail_tol: float | None
+    tag: str, metric: str, alphas: np.ndarray, tail_tol: float
 ) -> np.ndarray:
     """`_mixed_series` values over a 1-D |alpha| grid, bit-identical per point.
 
     One shared `_grid_weights` pass per chunk of points; each row's terms
     p_N s_N are summed left to right by np.add.accumulate, and the zero
-    weights past a row's truncation leave its sum unchanged.  The tolerance
-    is resolved first, so a changed QSD_TAIL_TOL reads a new pass.
+    weights past a row's truncation leave its sum unchanged.
     """
     with np.errstate(over="ignore"):  # M times the largest float is inf, as for a point
         means = FAMILIES[tag].modes * _intensities(alphas)
-    if tail_tol is None:
-        tail_tol = default_tail_tol()
-    table = _subspace_array(tag, metric)
+    table = np.array(_subspace_table(tag, metric))
     out = np.empty(means.size)
     for start in range(0, means.size, GRID_CHUNK):
         weights = _grid_weights(means[start : start + GRID_CHUNK].tobytes(), tail_tol)
@@ -262,7 +251,7 @@ def _closed_form(kernel):
     return closed_form
 
 
-def _mixed(tag: str, metric: str, alpha_abs, tail_tol: float | None):
+def _mixed(tag: str, metric: str, alpha_abs, tail_tol: float):
     """Mixed-series value at one point (scalar loop) or over a grid (column pass)."""
     alphas = _grid(alpha_abs)
     if alphas is None:
@@ -301,7 +290,7 @@ def two_mode_pure_pcorr(m, w, p_min: float = 0.5):
 
 
 def three_mode_mixed_pcorr(
-    alpha_abs: float, tail_tol: float | None = None
+    alpha_abs: float, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> tuple[float, int]:
     """Minimum-error probability for the phase-randomized three-mode states.
 
@@ -355,7 +344,7 @@ def four_mode_pure_pcorr(m, w):
 
 
 def phase_encoded_mixed_pcorr(
-    alpha_abs: float, tail_tol: float | None = None
+    alpha_abs: float, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> tuple[float, int]:
     """Minimum-error probability for the phase-randomized phase-encoded states.
 
@@ -419,7 +408,7 @@ def family_pcorr(
     variant: str,
     alpha_abs,
     prior: float = 0.5,
-    tail_tol: float | None = None,
+    tail_tol: float = DEFAULT_TAIL_TOL,
 ):
     """Minimum-error probability of a coherent family, pure or mixed.
 
@@ -449,7 +438,7 @@ def family_pcorr(
 
 
 def delta_pcorr(
-    family, alpha_abs, prior: float = 0.5, tail_tol: float | None = None
+    family, alpha_abs, prior: float = 0.5, tail_tol: float = DEFAULT_TAIL_TOL
 ):
     """Gap p_corr(pure) - p_corr(mixed): what phase randomization costs.
 
@@ -460,7 +449,7 @@ def delta_pcorr(
     )
 
 
-def delta_pcorr_max(family, tail_tol: float | None = None) -> tuple[float, float]:
+def delta_pcorr_max(family, tail_tol: float = DEFAULT_TAIL_TOL) -> tuple[float, float]:
     """Grid-scan maximum of delta_pcorr on [0, 3] at step 0.005.
 
     The curves are smooth and unimodal at plot resolution, so a fixed-step
@@ -574,7 +563,7 @@ def _p1bit_subspace_term(tag: str, re: float, im: float, g: float) -> float:
     return _p1bit_from_squares(_POINT_OPS, re * re, im * im, g)
 
 
-def family_p1bit(family, variant: str, alpha_abs, tail_tol: float | None = None):
+def family_p1bit(family, variant: str, alpha_abs, tail_tol: float = DEFAULT_TAIL_TOL):
     """Probability that an honest receiver learns their chosen bit.
 
     Pure variant: the overlap formula on the family's pure overlaps.  Mixed
@@ -592,7 +581,7 @@ def family_p1bit(family, variant: str, alpha_abs, tail_tol: float | None = None)
     return _mixed(tag, "p_1bit", alpha_abs, tail_tol)
 
 
-def family_bot(family, variant: str, alpha_abs, tail_tol: float | None = None):
+def family_bot(family, variant: str, alpha_abs, tail_tol: float = DEFAULT_TAIL_TOL):
     """Dishonest receiver's probability of learning both bits.
 
     Cheating means discriminating all four states at once, so this is the
@@ -640,7 +629,7 @@ def _invert_monotone(fn, target: float, lo: float, hi: float, iterations: int = 
     return 0.5 * (lo + hi)
 
 
-def phase_encoded_ot_crossover(tail_tol: float | None = None) -> CrossoverReport:
+def phase_encoded_ot_crossover(tail_tol: float = DEFAULT_TAIL_TOL) -> CrossoverReport:
     """Compare mixed and pure cheating probabilities at equal p_1bit.
 
     Both (p_1bit, b_ot) curves are parametric in |alpha| and monotone in it.

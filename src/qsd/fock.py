@@ -121,23 +121,21 @@ def _cached_basis(modes: int, photons: int) -> SubspaceBasis:
     return SubspaceBasis(modes, photons)
 
 
-def enumerate_subspace(
-    modes: int, photons: int, dimension_cap: int = DEFAULT_DIMENSION_CAP
-) -> SubspaceBasis:
+def enumerate_subspace(modes: int, photons: int) -> SubspaceBasis:
     """Canonical basis of the N-photon, M-mode subspace.
 
     Raises CapacityError before allocating anything if the dimension
-    C(N+M-1, M-1) exceeds `dimension_cap`.
+    C(N+M-1, M-1) exceeds DEFAULT_DIMENSION_CAP.
     """
     if modes < 1:
         raise ValueError(f"need at least one mode, got {modes}")
     if photons < 0:
         raise ValueError(f"negative photon number {photons}")
     dim = subspace_dimension(modes, photons)
-    if dim > dimension_cap:
+    if dim > DEFAULT_DIMENSION_CAP:
         raise CapacityError(
             f"subspace (modes={modes}, photons={photons}) has dimension {dim} "
-            f"> cap {dimension_cap}"
+            f"> cap {DEFAULT_DIMENSION_CAP}"
         )
     return _cached_basis(modes, photons)
 

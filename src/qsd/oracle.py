@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fock, phase_rand
-from .phase_rand import CoherentStateVector, default_tail_tol
+from .phase_rand import DEFAULT_TAIL_TOL, CoherentStateVector
 
 #: Eigenvalue magnitude below which a Helstrom difference operator is "zero".
 SIGN_THRESHOLD = 1e-12
@@ -285,24 +285,25 @@ class AppendixBReport:
 
 
 def verify_appendix_b(
-    alpha_abs: float, p0: float, tail_tol: float | None = None
+    alpha_abs: float, p0: float, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> AppendixBReport:
     """Build both POVMs for the beam-split two-mode mixed states and compare.
 
     The states are produced by the generic phase-randomization path from the
-    amplitude vectors (sqrt(2) alpha, 0) and (0, sqrt(2) alpha).  Reported:
-    both success probabilities, the Frobenius distance between the POVMs away
-    from the vacuum projector (restricted to the SRM support), and the SRM's
-    vacuum weights.
+    amplitude vectors (sqrt(2) alpha, 0) and (0, sqrt(2) alpha), truncated
+    at `tail_tol` and renormalized to unit trace, as in `whole_matrix_srm`.
+    Reported: both success probabilities, the Frobenius distance between the
+    POVMs away from the vacuum projector (restricted to the SRM support), and
+    the SRM's vacuum weights.
     """
-    if tail_tol is None:
-        tail_tol = default_tail_tol()
     amp = math.sqrt(2.0) * alpha_abs
     state0 = CoherentStateVector((amp, 0.0))
     state1 = CoherentStateVector((0.0, amp))
     n_max = phase_rand.truncation_photon_number(state0.mean_photons, tail_tol)
     rho0 = phase_rand.phase_randomized_state(state0, n_max)
     rho1 = phase_rand.phase_randomized_state(state1, n_max)
+    rho0 /= np.trace(rho0).real
+    rho1 /= np.trace(rho1).real
 
     srm_povm, srm_success = srm([rho0, rho1], [p0, 1.0 - p0])
     hel_povm, hel_success = helstrom_two(rho0, rho1, p0)

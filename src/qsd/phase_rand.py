@@ -11,7 +11,6 @@ direct sums are ever embedded into one dense array.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -45,18 +44,6 @@ def check_tail_tol(value: float, name: str) -> float:
     return value
 
 
-def default_tail_tol() -> float:
-    """Library-wide tail tolerance, overridable via QSD_TAIL_TOL."""
-    raw = os.environ.get("QSD_TAIL_TOL")
-    if raw is None:
-        return DEFAULT_TAIL_TOL
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    return check_tail_tol(value, f"QSD_TAIL_TOL={raw!r}")
-
-
 @dataclass(frozen=True)
 class CoherentStateVector:
     """Mode amplitudes alpha_1..alpha_M of a pure multi-mode coherent state."""
@@ -80,26 +67,20 @@ class CoherentStateVector:
 
 
 def poisson_series(
-    mean: float,
-    tail_tol: float | None = None,
-    n_cap: int = DEFAULT_N_CAP,
-    *,
-    n_max: int | None = None,
+    mean: float, tail_tol: float = DEFAULT_TAIL_TOL, *, n_max: int | None = None
 ) -> list[float]:
     """Poisson weights p_N = exp(-mean) mean^N / N! for N = 0, 1, ...
 
     With `n_max`, returns p_0..p_n_max.  Otherwise stops at the smallest
-    n_max whose tail mass beyond it is below `tail_tol` (default: the
-    library-wide tolerance) and raises CapacityError past `n_cap`.  Every
-    weight comes from the recurrence p_N = p_{N-1} mean / N, so one point's
-    series is bit-identical however it is reached.  Raises CapacityError
-    when exp(-mean) underflows, which would silently zero every weight.
+    n_max whose tail mass beyond it is below `tail_tol` and raises
+    CapacityError past DEFAULT_N_CAP.  Every weight comes from the
+    recurrence p_N = p_{N-1} mean / N, so one point's series is
+    bit-identical however it is reached.  Raises CapacityError when
+    exp(-mean) underflows, which would silently zero every weight.
     """
     if not mean >= 0:  # also rejects nan
         raise ValueError(f"mean photon number {mean} is not a number >= 0")
     if n_max is None:
-        if tail_tol is None:
-            tail_tol = default_tail_tol()
         check_tail_tol(tail_tol, "tail_tol")
     term = math.exp(-mean)
     if term < sys.float_info.min:
@@ -109,9 +90,9 @@ def poisson_series(
     n = 0
     while (n < n_max) if n_max is not None else (1.0 - cumulative >= tail_tol):
         n += 1
-        if n_max is None and n > n_cap:
+        if n_max is None and n > DEFAULT_N_CAP:
             raise CapacityError(
-                f"Poisson truncation for mean {mean} exceeds cap {n_cap} "
+                f"Poisson truncation for mean {mean} exceeds cap {DEFAULT_N_CAP} "
                 f"at tail tolerance {tail_tol}"
             )
         term *= mean / n
@@ -120,7 +101,7 @@ def poisson_series(
     return weights
 
 
-def poisson_series_grid(means: np.ndarray, tail_tol: float | None = None) -> np.ndarray:
+def poisson_series_grid(means: np.ndarray, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """`poisson_series` of every mean in a 1-D array, in one vectorised pass.
 
     Row i holds the weights of means[i], bit-identical to
@@ -132,8 +113,6 @@ def poisson_series_grid(means: np.ndarray, tail_tol: float | None = None) -> np.
     raises the error poisson_series raises for the first such mean.
     """
     means = np.asarray(means, dtype=float)
-    if tail_tol is None:
-        tail_tol = default_tail_tol()
     check_tail_tol(tail_tol, "tail_tol")
     if not means.size:
         return np.zeros((0, 1))
@@ -179,11 +158,9 @@ def poisson_weights(mean: float, n_max: int) -> np.ndarray:
     return np.array(poisson_series(mean, n_max=n_max))
 
 
-def truncation_photon_number(
-    mean: float, tail_tol: float, n_cap: int = DEFAULT_N_CAP
-) -> int:
+def truncation_photon_number(mean: float, tail_tol: float) -> int:
     """Smallest n_max whose Poisson tail mass beyond it is below tail_tol."""
-    return len(poisson_series(mean, tail_tol, n_cap)) - 1
+    return len(poisson_series(mean, tail_tol)) - 1
 
 
 @dataclass(frozen=True)
@@ -197,7 +174,7 @@ class SubspaceOverlapSeries:
 
 
 def decompose(
-    spec: SymmetricFamilySpec, tail_tol: float | None = None
+    spec: SymmetricFamilySpec, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> SubspaceOverlapSeries:
     """Photon-number decomposition of one phase-randomized coherent family.
 
@@ -215,7 +192,7 @@ def decompose(
 
 
 def subspace_state_blocks(
-    spec: SymmetricFamilySpec, tail_tol: float | None = None
+    spec: SymmetricFamilySpec, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> tuple[np.ndarray, list[list[np.ndarray]]]:
     """Poisson weights plus the per-N pure state vectors of a family.
 

@@ -183,7 +183,7 @@ def _block_srm_term(tag: str, photons: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _block_srm_success(tag: str, alpha: float, tail_tol: float) -> float:
+def _block_srm_success(tag: str, alpha: float) -> float:
     """Block-oracle SRM success of a mixed coherent family, once per process.
 
     Equals `oracle.block_srm` on `phase_rand.subspace_state_blocks` bit for
@@ -191,12 +191,12 @@ def _block_srm_success(tag: str, alpha: float, tail_tol: float) -> float:
     same order; only the successes are shared between the |alpha| values.
     """
     mean = SymmetricFamilySpec(tag, alpha).mean_photons
-    weights = phase_rand.poisson_series(mean, tail_tol)
+    weights = phase_rand.poisson_series(mean)
     terms = [_block_srm_term(tag, n) for n in range(len(weights))]
     return oracle.block_average(terms, weights)
 
 
-def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
+def suite_families() -> list[CheckResult]:
     results = []
 
     # exact closed-form benchmarks
@@ -216,12 +216,12 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
     worst = 0.0
     for tag in disc.COHERENT_FAMILIES:
         for alpha in (0.3, 0.7, 1.2):
-            series = phase_rand.decompose(SymmetricFamilySpec(tag, alpha), tail_tol)
+            series = phase_rand.decompose(SymmetricFamilySpec(tag, alpha))
             via_gram = sum(
                 p * symmetric.srm_success_from_gram(g)
                 for p, g in zip(series.weights, series.per_n_gram)
             )
-            closed = disc.family_pcorr(tag, "mixed", alpha, tail_tol=tail_tol)
+            closed = disc.family_pcorr(tag, "mixed", alpha)
             worst = max(worst, abs(via_gram - closed))
     results.append(_check("families.series_vs_gram_route", worst, 1e-10))
 
@@ -229,8 +229,8 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
     worst = 0.0
     for tag in disc.COHERENT_FAMILIES:
         for alpha in (0.3, 0.7, 1.2):
-            block = _block_srm_success(tag, alpha, tail_tol)
-            closed = disc.family_pcorr(tag, "mixed", alpha, tail_tol=tail_tol)
+            block = _block_srm_success(tag, alpha)
+            closed = disc.family_pcorr(tag, "mixed", alpha)
             worst = max(worst, abs(block - closed))
     results.append(_check("families.closed_form_vs_block_srm", worst, 1e-8))
 
@@ -241,9 +241,7 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
         guess = 1.0 / SymmetricFamilySpec(tag).n_states
         curves = {}
         for variant in ("pure", "mixed"):
-            values = curves[variant] = disc.family_pcorr(
-                tag, variant, grid, tail_tol=tail_tol
-            )
+            values = curves[variant] = disc.family_pcorr(tag, variant, grid)
             worst_start = max(worst_start, abs(values[0] - guess))
             worst_mono = max(worst_mono, np.max(values[:-1] - values[1:]))
             worst_tail = max(worst_tail, 0.999 - values[-1])
@@ -257,7 +255,7 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
     # the pure-minus-mixed gap peaks near one quarter
     worst = 0.0
     for tag in disc.FOUR_STATE_FAMILIES:
-        _a, peak = disc.delta_pcorr_max(tag, tail_tol=tail_tol)
+        _a, peak = disc.delta_pcorr_max(tag)
         worst = max(worst, abs(peak - 0.25))
     results.append(_check("families.delta_pcorr_peak_band", worst, 0.05))
 
@@ -265,17 +263,17 @@ def suite_families(tail_tol: float = 1e-12) -> list[CheckResult]:
     grid = np.linspace(0.025, 2.5, 100)
     worst_linear = 0.0
     for tag, variant in (("three_mode", "mixed"), ("four_mode", "pure"), ("four_mode", "mixed")):
-        b = disc.family_bot(tag, variant, grid, tail_tol)
-        p = disc.family_p1bit(tag, variant, grid, tail_tol)
+        b = disc.family_bot(tag, variant, grid)
+        p = disc.family_p1bit(tag, variant, grid)
         worst_linear = max(worst_linear, np.max(np.abs(b - (1.5 * p - 0.5))))
-    b = disc.family_bot("three_mode", "pure", grid, tail_tol)
-    p = disc.family_p1bit("three_mode", "pure", grid, tail_tol)
+    b = disc.family_bot("three_mode", "pure", grid)
+    p = disc.family_p1bit("three_mode", "pure", grid)
     worst_square = np.max(np.abs(b - p * p))
     results.append(_check("families.bot_linear_in_p1bit", worst_linear, 1e-10))
     results.append(_check("families.bot_square_three_mode_pure", worst_square, 1e-10))
 
     # phase randomization helps the phase-encoded protocol above p_1bit ~ 0.8
-    report = disc.phase_encoded_ot_crossover(tail_tol=tail_tol)
+    report = disc.phase_encoded_ot_crossover()
     lower = report.lower_bound
     if lower is None:
         results.append(_holds("families.phase_encoded_crossover", False))
@@ -338,7 +336,7 @@ def _block_purity_defect(spec: SymmetricFamilySpec) -> float:
     return worst
 
 
-def suite_appendix_a(tail_tol: float = 1e-12) -> list[CheckResult]:
+def suite_appendix_a() -> list[CheckResult]:
     results = []
 
     # each photon-number block, renormalized, is a rank-1 projector
@@ -373,8 +371,8 @@ def suite_appendix_a(tail_tol: float = 1e-12) -> list[CheckResult]:
     for tag in disc.COHERENT_FAMILIES:
         for alpha in (0.3, 0.7, 1.2):
             spec = SymmetricFamilySpec(tag, alpha)
-            weights, blocks = phase_rand.subspace_state_blocks(spec, tail_tol)
-            block = _block_srm_success(tag, alpha, tail_tol)
+            weights, blocks = phase_rand.subspace_state_blocks(spec)
+            block = _block_srm_success(tag, alpha)
             _povm, whole = oracle.whole_matrix_srm(blocks, weights)
             worst = max(worst, abs(block - whole))
     results.append(_check("appendix_a.block_vs_whole_srm", worst, 1e-9))
@@ -385,12 +383,12 @@ def suite_appendix_a(tail_tol: float = 1e-12) -> list[CheckResult]:
 # appendix_b: two-mode SRM vs Helstrom
 
 
-def suite_appendix_b(tail_tol: float = 1e-12) -> list[CheckResult]:
+def suite_appendix_b() -> list[CheckResult]:
     results = []
     worst_hel = worst_equal = worst_offvac = worst_split = 0.0
     for p0 in (0.5, 0.3):
         for alpha in (0.2, 0.8):
-            report = oracle.verify_appendix_b(alpha, p0, tail_tol)
+            report = oracle.verify_appendix_b(alpha, p0)
             worst_hel = max(
                 worst_hel,
                 abs(report.helstrom_success - disc.two_mode_mixed_pcorr(alpha, p0)),
@@ -413,7 +411,9 @@ def suite_appendix_b(tail_tol: float = 1e-12) -> list[CheckResult]:
     for p0 in (0.5, 0.3):
         for alpha in (0.2, 0.8):
             spec = SymmetricFamilySpec("two_mode", alpha)
-            n_max = phase_rand.truncation_photon_number(spec.mean_photons, tail_tol)
+            n_max = phase_rand.truncation_photon_number(
+                spec.mean_photons, phase_rand.DEFAULT_TAIL_TOL
+            )
             rho0 = phase_rand.mixed_state_matrix(spec, "0", n_max)
             rho1 = phase_rand.mixed_state_matrix(spec, "1", n_max)
             _povm, p_corr = oracle.helstrom_two(rho0, rho1, p0)
@@ -511,22 +511,22 @@ def suite_circuit() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def run_suite(name: str, tail_tol: float = 1e-12) -> list[CheckResult]:
+def run_suite(name: str) -> list[CheckResult]:
     if name == "all":
         out: list[CheckResult] = []
         for suite in SUITE_NAMES:
-            out.extend(run_suite(suite, tail_tol))
+            out.extend(run_suite(suite))
         return out
     if name == "fock":
         return suite_fock()
     if name == "gram":
         return suite_gram()
     if name == "families":
-        return suite_families(tail_tol)
+        return suite_families()
     if name == "appendix_a":
-        return suite_appendix_a(tail_tol)
+        return suite_appendix_a()
     if name == "appendix_b":
-        return suite_appendix_b(tail_tol)
+        return suite_appendix_b()
     if name == "circuit":
         return suite_circuit()
     raise ValueError(f"unknown suite {name!r}")

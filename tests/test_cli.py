@@ -1,7 +1,10 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+import qsd
 from qsd import cli
 from qsd import discrimination as disc
 from qsd.fock import CapacityError
@@ -11,6 +14,10 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+#: A curve whose mixed column is a Poisson series, so the tail tolerance shows.
+SERIES_CURVE = ["curve", "--family", "three_mode", "--metric", "p_corr", "--alpha", "0:1:2"]
 
 
 class TestCurve:
@@ -260,14 +267,13 @@ class TestCurve:
         assert out.splitlines()[-2:] == ["15,1", "30,1"]
 
     def test_tail_tol_env_default(self, capsys, monkeypatch):
+        # the default tolerance is a constant, whatever QSD_TAIL_TOL says
+        expected = run(SERIES_CURVE, capsys)
+        assert run(SERIES_CURVE + ["--tail-tol", "1e-6"], capsys) != expected
         monkeypatch.setenv("QSD_TAIL_TOL", "1e-6")
-        code, out, _err = run(
-            ["curve", "--family", "three_mode", "--metric", "p_corr", "--alpha", "0:1:2"],
-            capsys,
-        )
-        assert code == 0
-        value = float(out.strip().splitlines()[-1].split(",")[2])
-        assert value == pytest.approx(disc.three_mode_mixed_pcorr(1.0, 1e-6)[0], rel=1e-11)
+        assert run(SERIES_CURVE, capsys) == expected
+        value = float(expected[1].strip().splitlines()[-1].split(",")[2])
+        assert value == pytest.approx(disc.three_mode_mixed_pcorr(1.0)[0], rel=1e-11)
 
     @pytest.mark.parametrize("value", ["2", "0", "-1e-6", "nan", "inf", "1e-15", "1e-17"])
     def test_bad_tail_tol_flag(self, value, capsys):
@@ -281,14 +287,26 @@ class TestCurve:
 
     @pytest.mark.parametrize("value", ["abc", "2", "nan", "1e-15", "1e-17"])
     def test_bad_tail_tol_env(self, value, capsys, monkeypatch):
-        # rejected even for two_mode, whose curves never use it
+        # no module reads QSD_TAIL_TOL, so a malformed value changes nothing
+        expected = run(SERIES_CURVE, capsys)
         monkeypatch.setenv("QSD_TAIL_TOL", value)
-        code, out, err = run(
-            ["curve", "--family", "two_mode", "--metric", "p_corr", "--alpha", "0:1:3"],
-            capsys,
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: QSD_TAIL_TOL") and err.count("\n") == 1
+        assert run(SERIES_CURVE, capsys) == expected
+        assert expected[0] == 0 and expected[2] == ""
+
+#: Names through which a module could read the process environment.
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    # every number is a function of the arguments alone
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(qsd.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS)
+        or (isinstance(node, ast.alias) and node.name in ENVIRONMENT_READS)
+    ]
+    assert found == []
 
 
 class TestCurveRequest:
@@ -373,10 +391,12 @@ class TestVerify:
         assert "circuit.fig3_identification_map" in out
 
     def test_unreachable_tail_tol_rejected(self, capsys):
-        # the float tail 1 - sum p_N stalls above 1e-17 at a mean of 0.98
-        code, out, err = run(["verify", "families", "--tail-tol", "1e-17"], capsys)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: --tail-tol") and err.count("\n") == 1
+        # verify runs at the default tolerance its check tolerances are set
+        # for, so it takes no --tail-tol: not an unreachable 1e-17, nor 1e-9
+        for suite, value in (("families", "1e-17"), ("all", "1e-9"), ("all", "1e-12")):
+            code, out, err = run(["verify", suite, "--tail-tol", value], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: unrecognized arguments: --tail-tol {value}\n"
 
     def test_unknown_suite_rejected(self, capsys):
         code, out, err = run(["verify", "appendix_z"], capsys)
@@ -389,7 +409,7 @@ class TestVerify:
         monkeypatch.setattr(
             verify,
             "run_suite",
-            lambda name, tail_tol=1e-12: [verify.CheckResult("forced.fail", False, 1.0)],
+            lambda name: [verify.CheckResult("forced.fail", False, 1.0)],
         )
         code, out, _err = run(["verify", "gram"], capsys)
         assert code == 1

@@ -48,8 +48,16 @@ class TestEnumerateSubspace:
         assert list(basis.index_list) == ordered
 
     def test_capacity_guard(self):
-        with pytest.raises(fock.CapacityError):
-            fock.enumerate_subspace(4, 5, dimension_cap=10)
+        # C(403, 3) = 10,827,401 occupation rows would take about 350 MB
+        assert fock.subspace_dimension(4, 400) == 10_827_401 > fock.DEFAULT_DIMENSION_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(fock.CapacityError, match="dimension 10827401 > cap"):
+                fock.enumerate_subspace(4, 400)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_index_lookup(self):
         basis = fock.enumerate_subspace(3, 5)

@@ -70,7 +70,7 @@ def test_column_equals_single_points(series, tail_tol, alphas):
 
 @pytest.mark.parametrize("metric, family, variant", SERIES)
 def test_documented_grid_column_equals_single_points(metric, family, variant):
-    fn = lambda a: FUNCTIONS[metric](family, variant, a, None)  # noqa: E731
+    fn = lambda a: FUNCTIONS[metric](family, variant, a, phase_rand.DEFAULT_TAIL_TOL)  # noqa: E731
     assert_column_matches_points(fn, np.linspace(0.0, 4.0, 301))
 
 
@@ -82,7 +82,7 @@ POW_SQUARE_DIFFERS = [1.0490988191423243, 2.0981976382846486, 4.196395276569297]
 def test_column_equals_single_points_where_pow_differs(metric, family, variant):
     # a point squared by pow and a grid by multiplication differ here
     assert all(a**2 != a * a for a in POW_SQUARE_DIFFERS)
-    fn = lambda a: FUNCTIONS[metric](family, variant, a, None)  # noqa: E731
+    fn = lambda a: FUNCTIONS[metric](family, variant, a, phase_rand.DEFAULT_TAIL_TOL)  # noqa: E731
     assert_column_matches_points(fn, POW_SQUARE_DIFFERS)
 
 
@@ -109,7 +109,7 @@ def test_invalid_grid_entry_raises_before_any_point(bad, message):
     # 8.0 alone would raise CapacityError: the grid is checked first
     for metric, family, variant in SERIES:
         with pytest.raises(ValueError, match=message):
-            FUNCTIONS[metric](family, variant, [0.5, 8.0, bad], None)
+            FUNCTIONS[metric](family, variant, [0.5, 8.0, bad], phase_rand.DEFAULT_TAIL_TOL)
 
 
 class TestPoissonSeriesGrid:
@@ -217,7 +217,7 @@ MIXED_SERIES = [
 SWEEP = np.linspace(0.0, 4.0, 301)
 
 
-def _mixed(metric, family, alphas, tail_tol=None):
+def _mixed(metric, family, alphas, tail_tol=phase_rand.DEFAULT_TAIL_TOL):
     return FUNCTIONS[metric](family, "mixed", alphas, tail_tol)
 
 
@@ -248,7 +248,7 @@ class TestGridWeightsMemo:
         disc._grid_weights.cache_clear()
         expected = disc.family_pcorr("three_mode", "mixed", SWEEP)
         means = 3.0 * disc._intensities(SWEEP)
-        weights = disc._grid_weights(means.tobytes(), phase_rand.default_tail_tol())
+        weights = disc._grid_weights(means.tobytes(), phase_rand.DEFAULT_TAIL_TOL)
         assert disc._grid_weights.cache_info().hits == 1
         assert not weights.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -260,16 +260,13 @@ class TestGridWeightsMemo:
         again[:] = 0.0
         assert disc.family_pcorr("three_mode", "mixed", SWEEP).tobytes() == expected.tobytes()
 
-    def test_changed_tail_tol_env_is_not_a_stale_hit(self, monkeypatch):
-        monkeypatch.delenv("QSD_TAIL_TOL", raising=False)
+    def test_changed_tail_tol_is_not_a_stale_hit(self):
         disc._grid_weights.cache_clear()
         default = disc.family_p1bit("phase_encoded", "mixed", SWEEP)
-        monkeypatch.setenv("QSD_TAIL_TOL", "1e-6")
-        loose = disc.family_p1bit("phase_encoded", "mixed", SWEEP)
+        loose = disc.family_p1bit("phase_encoded", "mixed", SWEEP, 1e-6)
         assert not np.array_equal(loose, default)
         points = [disc.family_p1bit("phase_encoded", "mixed", a, 1e-6) for a in SWEEP.tolist()]
         assert np.array_equal(loose, points)
-        monkeypatch.delenv("QSD_TAIL_TOL")
         assert disc.family_p1bit("phase_encoded", "mixed", SWEEP).tobytes() == default.tobytes()
         assert disc._grid_weights.cache_info().misses == 2
 

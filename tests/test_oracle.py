@@ -243,6 +243,14 @@ class TestVerifyAppendixB:
         assert report.srm_success == pytest.approx(srm_expected, abs=1e-9)
         assert report.success_gap < 0.0
 
+    @pytest.mark.parametrize("p0", (0.5, 0.3))
+    def test_loose_tail_tol_is_renormalized(self, p0):
+        # the truncated states keep mass 1 - tail, near 1e-6 here; the SRM
+        # takes unit-trace states, so they are renormalized first
+        report = oracle.verify_appendix_b(0.8, p0, 1e-6)
+        assert abs(report.helstrom_success - disc.two_mode_mixed_pcorr(0.8, p0)) < 1e-7
+        assert report.off_vacuum_distance < 1e-9
+
     def test_zero_amplitude_reduces_to_guessing(self):
         report = oracle.verify_appendix_b(0.0, 0.3)
         assert report.helstrom_success == pytest.approx(0.7, abs=1e-12)

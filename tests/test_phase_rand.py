@@ -45,8 +45,9 @@ class TestTruncation:
         assert poisson_tail(mean, n_max - 1) >= 1e-10  # minimality
 
     def test_capacity_cap(self):
-        with pytest.raises(fock.CapacityError):
-            phase_rand.truncation_photon_number(12.0, 1e-12, n_cap=5)
+        # a mean of 120 needs about 200 photons for a 1e-12 tail
+        with pytest.raises(fock.CapacityError, match=f"exceeds cap {phase_rand.DEFAULT_N_CAP} "):
+            phase_rand.truncation_photon_number(120.0, 1e-12)
 
     @pytest.mark.parametrize(
         "series", [phase_rand.poisson_series, phase_rand.truncation_photon_number]
@@ -286,8 +287,9 @@ class TestClosedFormRows:
             disc.subspace_overlaps("qutrit", 1)
 
     def test_tail_tol_envvar(self, monkeypatch):
-        monkeypatch.setenv("QSD_TAIL_TOL", "1e-6")
-        assert phase_rand.default_tail_tol() == 1e-6
-        monkeypatch.setenv("QSD_TAIL_TOL", "2.0")
-        with pytest.raises(ValueError):
-            phase_rand.default_tail_tol()
+        # the default tolerance is a constant: no variable of the environment moves it
+        expected = phase_rand.poisson_series(2.0, phase_rand.DEFAULT_TAIL_TOL)
+        for value in ("1e-6", "2.0", "abc"):
+            monkeypatch.setenv("QSD_TAIL_TOL", value)
+            assert phase_rand.poisson_series(2.0) == expected
+            assert np.array_equal(phase_rand.poisson_series_grid(np.array([2.0]))[0], expected)

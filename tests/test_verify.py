@@ -76,7 +76,7 @@ def test_non_circulant_gram_fails_with_a_tol(monkeypatch):
 
 
 def test_missing_crossover_fails_with_a_tol(monkeypatch):
-    monkeypatch.setattr(disc, "phase_encoded_ot_crossover", lambda tail_tol: CrossoverReport(()))
+    monkeypatch.setattr(disc, "phase_encoded_ot_crossover", lambda: CrossoverReport(()))
     result = verify.suite_families()[-1]
     assert result.line() == "FAIL  families.phase_encoded_crossover  1.000e+00"
     assert (result.tol, result.margin) == (verify.BOOLEAN_TOL, 1.0)
@@ -176,8 +176,8 @@ def test_block_srm_oracle_runs_once_per_block(monkeypatch):
 @pytest.mark.parametrize("tag,alpha", BLOCK_SRM_INPUTS)
 def test_block_srm_success_is_bit_identical_to_block_srm(tag, alpha):
     spec = SymmetricFamilySpec(tag, alpha)
-    blocks_first = phase_rand.subspace_state_blocks(spec, 1e-12)[::-1]
-    assert verify._block_srm_success(tag, alpha, 1e-12) == oracle.block_srm(*blocks_first)
+    blocks_first = phase_rand.subspace_state_blocks(spec)[::-1]
+    assert verify._block_srm_success(tag, alpha) == oracle.block_srm(*blocks_first)
 
 
 def test_block_purity_holds_one_block_at_a_time():
