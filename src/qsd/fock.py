@@ -81,11 +81,6 @@ class SubspaceBasis:
         self.occupation_array = occ
         self.dimension = len(occ)
 
-    @property
-    def index_list(self) -> tuple[tuple[int, ...], ...]:
-        """Occupation tuples in canonical order (built on demand)."""
-        return tuple(map(tuple, self.occupation_array.tolist()))
-
     def ranks(self, occupations: np.ndarray) -> np.ndarray:
         """Positions of rows of basis occupations: an occupation whose last k
         modes hold S_k photons follows sum_{k=1}^{M-1} C(S_k + k - 1, k) rows.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -35,6 +35,10 @@ DEFAULT_N_CAP = 150
 
 #: Largest dimension `direct_sum` will embed into.
 DENSE_DIMENSION_CAP = 10_000
+
+#: Rows of a `RankOneBlock` written per step: a chunk of 64 rows stays in
+#: cache while it is scaled (and, in verify's purity check, reduced).
+ROW_CHUNK = 64
 
 
 def check_tail_tol(value: float, name: str) -> float:
@@ -242,7 +246,7 @@ def mixed_state_matrix(spec: SymmetricFamilySpec, which: str, n_max: int) -> np.
     return phase_randomized_state(CoherentStateVector(tuple(amplitudes)), n_max)
 
 
-def _subspace_component(state: CoherentStateVector, photons: int) -> np.ndarray:
+def subspace_component(state: CoherentStateVector, photons: int) -> np.ndarray:
     """Normalized N-photon component of a coherent state, or zeros if it vanishes."""
     basis = fock.enumerate_subspace(state.modes, photons)
     vec = fock.subspace_amplitudes(state.amplitudes, basis)
@@ -250,29 +254,55 @@ def _subspace_component(state: CoherentStateVector, photons: int) -> np.ndarray:
     return vec if norm == 0.0 else vec / norm
 
 
-def randomized_blocks(
-    state: CoherentStateVector, n_max: int
-) -> Iterator[np.ndarray]:
-    """Yield the blocks p_N |psi_N><psi_N| for N = 0..n_max, one at a time.
+@dataclass(frozen=True)
+class RankOneBlock:
+    """The block weight * |vec><vec|, read in parts and never held whole.
 
-    Each block is a fresh C-contiguous array the caller owns and may
-    overwrite.  It is written in one pass, 64 rows at a time: each row chunk
-    of the outer product is scaled by p_N through the float view while it is
-    still in cache (the values of complex * real, without the zero imaginary
-    products).  The generator drops its own references on resuming, so a
-    caller that drops its reference before asking for the next block holds
-    one block at most.
+    Every entry, whether read in a row chunk, a column or the diagonal, is
+    the complex product vec_i conj(vec_j) with both parts then scaled by
+    `weight` through the float view (the values of complex * real, without
+    the zero imaginary products), so the parts agree bit for bit with
+    `dense()`.
     """
+
+    vec: np.ndarray
+    weight: float
+    conj: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "conj", self.vec.conj())
+
+    def rows(self, start: int, out: np.ndarray) -> np.ndarray:
+        """Rows start..start+len(out) written into the C-contiguous `out`."""
+        return self._scaled(np.outer(self.vec[start : start + len(out)], self.conj, out=out))
+
+    def column(self, j: int) -> np.ndarray:
+        return self._scaled(self.vec * self.conj[j])
+
+    def diagonal(self) -> np.ndarray:
+        """The real diagonal."""
+        return self._scaled(self.vec * self.conj).real
+
+    def dense(self) -> np.ndarray:
+        """The whole d x d block, written ROW_CHUNK rows at a time, each chunk
+        scaled while still in cache."""
+        d = len(self.vec)
+        out = np.empty((d, d), dtype=np.complex128)
+        for start in range(0, d, ROW_CHUNK):
+            self.rows(start, out[start : start + ROW_CHUNK])
+        return out
+
+    def _scaled(self, products: np.ndarray) -> np.ndarray:
+        parts = products.view(np.float64)
+        parts *= self.weight
+        return products
+
+
+def randomized_blocks(state: CoherentStateVector, n_max: int) -> Iterator[np.ndarray]:
+    """Yield the dense blocks p_N |psi_N><psi_N| for N = 0..n_max (see
+    `RankOneBlock.dense`)."""
     for n, weight in enumerate(poisson_weights(state.mean_photons, n_max)):
-        vec = _subspace_component(state, n)
-        conj = vec.conj()
-        block = np.empty((len(vec), len(vec)), dtype=np.complex128)
-        parts = block.view(np.float64)
-        for rows in range(0, len(vec), 64):
-            np.outer(vec[rows : rows + 64], conj, out=block[rows : rows + 64])
-            parts[rows : rows + 64] *= weight
-        yield block
-        del block, parts  # else they stay alive while the next block allocates
+        yield RankOneBlock(subspace_component(state, n), weight).dense()
 
 
 def phase_randomized_state(state: CoherentStateVector, n_max: int) -> np.ndarray:

@@ -286,32 +286,36 @@ def suite_families() -> list[CheckResult]:
 # appendix_a: direct-sum structure of phase-randomized states
 
 
-def _rank1_projector_defect(u: np.ndarray, p: float = 1.0) -> float:
+def _rank1_projector_defect(u: phase_rand.RankOneBlock, p: float) -> float:
     """||u/p - w w^+||_F + | ||w||^2 - 1 |, zero iff u/p is a rank-1 projector.
 
     w = (u/p)[:, j] / sqrt((u/p)_jj) for the column j with the largest real
     diagonal, or w = 0 when no diagonal is positive (then u/p is no rank-1
-    projector and the defect is ||u/p||_F + 1).  u/p is formed as u * (1/p)
-    on the float view, which is what numpy computes for complex / real, so
-    the result equals the defect of `u / p` bit for bit.  O(d^2), in two
-    passes over u; overwrites u, which must be C-contiguous.
+    projector and the defect is ||u/p||_F + 1).  u is read as
+    `phase_rand.RankOneBlock` offers it, through `diagonal()`, `column(j)`
+    and `rows(start, out)`, so the d x d matrix is never held: one pass
+    writes each ROW_CHUNK rows into one reused buffer, renormalizes them on
+    the float view by 1/p (the values of complex / real), subtracts w w^+
+    through 16-row temporaries and adds the chunk's squared norm while it
+    is still in cache.  O(d^2) time, O(ROW_CHUNK d) memory.
     """
     scale = 1.0 / p
-    diagonal = u.diagonal().real * scale
+    diagonal = u.diagonal() * scale
     j = int(np.argmax(diagonal))
     pivot = float(diagonal[j])
     if pivot > 0.0:
-        w = u[:, j] * scale / math.sqrt(pivot)
+        w = u.column(j) * scale / math.sqrt(pivot)
     else:
-        w = np.zeros(u.shape[0], complex)
+        w = np.zeros(len(diagonal), complex)
     w_conj = w.conj()
-    parts = u.view(np.float64)
+    buffer = np.empty((min(phase_rand.ROW_CHUNK, len(w)), len(w)), dtype=np.complex128)
     squared = 0.0
-    for rows in range(0, len(w), 64):  # the norm is summed per 64-row chunk
-        parts[rows : rows + 64] *= scale  # renormalize while in cache
-        for sub in range(rows, min(rows + 64, len(w)), 16):  # a 16-row temporary
-            u[sub : sub + 16] -= np.outer(w[sub : sub + 16], w_conj)
-        chunk = u[rows : rows + 64]
+    for rows in range(0, len(w), phase_rand.ROW_CHUNK):  # the norm is summed per chunk
+        chunk = u.rows(rows, buffer[: len(w) - rows])
+        parts = chunk.view(np.float64)
+        parts *= scale
+        for sub in range(0, len(chunk), 16):
+            chunk[sub : sub + 16] -= np.outer(w[rows + sub : rows + sub + 16], w_conj)
         squared += float(np.vdot(chunk, chunk).real)
     return math.sqrt(squared) + abs(float(np.vdot(w, w).real) - 1.0)
 
@@ -319,20 +323,17 @@ def _rank1_projector_defect(u: np.ndarray, p: float = 1.0) -> float:
 def _block_purity_defect(spec: SymmetricFamilySpec) -> float:
     """Worst rank-1 projector defect of every member's renormalized blocks.
 
-    Blocks are streamed from `randomized_blocks` and renormalized inside the
-    defect's row chunks, then dropped before the next is built, so one block
-    is held at a time (not via `zip`/`enumerate`: their reused result tuple
-    keeps the last block).
+    Each block p_N |psi_N><psi_N| is a `phase_rand.RankOneBlock` read one
+    row chunk at a time, so no whole block is ever allocated; the p_N come
+    from one Poisson pass that all members share.
     """
-    n_max = phase_rand.truncation_photon_number(spec.mean_photons, 1e-10)
-    weights = phase_rand.poisson_weights(spec.mean_photons, n_max)
+    weights = phase_rand.poisson_series(spec.mean_photons, 1e-10)
     worst = 0.0
     for amplitudes in spec.amplitude_vectors():
         state = phase_rand.CoherentStateVector(tuple(amplitudes))
-        p_n = iter(weights)
-        for block in phase_rand.randomized_blocks(state, n_max):
-            worst = max(worst, _rank1_projector_defect(block, next(p_n)))
-            del block
+        for n, p in enumerate(weights):
+            block = phase_rand.RankOneBlock(phase_rand.subspace_component(state, n), p)
+            worst = max(worst, _rank1_projector_defect(block, p))
     return worst
 
 

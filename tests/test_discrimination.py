@@ -30,7 +30,7 @@ def pure_family_vectors(tag, alpha, tail_tol=1e-12):
     for alphas in spec.amplitude_vectors():
         state = phase_rand.CoherentStateVector(tuple(alphas))
         weights = phase_rand.poisson_series(state.mean_photons, tail_tol)
-        states = [phase_rand._subspace_component(state, n) for n in range(len(weights))]
+        states = [phase_rand.subspace_component(state, n) for n in range(len(weights))]
         full = np.concatenate([math.sqrt(w) * s for w, s in zip(weights, states)])
         vectors.append(full / np.linalg.norm(full))
     return vectors

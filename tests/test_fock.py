@@ -22,19 +22,21 @@ def brute_force_tuples(modes, photons):
 class TestEnumerateSubspace:
     def test_vacuum(self):
         basis = fock.enumerate_subspace(3, 0)
-        assert basis.index_list == ((0, 0, 0),)
+        assert tuple(map(tuple, basis.occupation_array.tolist())) == ((0, 0, 0),)
         assert basis.dimension == 1
 
     def test_two_mode_three_photons(self):
         basis = fock.enumerate_subspace(2, 3)
-        assert basis.index_list == ((3, 0), (2, 1), (1, 2), (0, 3))
+        assert tuple(map(tuple, basis.occupation_array.tolist())) == (
+            (3, 0), (2, 1), (1, 2), (0, 3)
+        )
 
     def test_four_mode_five_photons_brute_force(self):
         basis = fock.enumerate_subspace(4, 5)
         expected = brute_force_tuples(4, 5)
         assert basis.dimension == 56
-        assert sorted(basis.index_list) == sorted(expected)
-        assert len(set(basis.index_list)) == basis.dimension
+        assert sorted(map(tuple, basis.occupation_array.tolist())) == sorted(expected)
+        assert len(set(map(tuple, basis.occupation_array.tolist()))) == basis.dimension
 
     @pytest.mark.parametrize("modes,photons", [(1, 7), (2, 9), (3, 6), (5, 4)])
     def test_dimension_formula(self, modes, photons):
@@ -44,8 +46,8 @@ class TestEnumerateSubspace:
 
     def test_descending_lexicographic_order(self):
         basis = fock.enumerate_subspace(3, 4)
-        ordered = sorted(basis.index_list, reverse=True)
-        assert list(basis.index_list) == ordered
+        ordered = sorted(map(tuple, basis.occupation_array.tolist()), reverse=True)
+        assert list(map(tuple, basis.occupation_array.tolist())) == ordered
 
     def test_capacity_guard(self):
         # C(403, 3) = 10,827,401 occupation rows would take about 350 MB
@@ -61,7 +63,7 @@ class TestEnumerateSubspace:
 
     def test_index_lookup(self):
         basis = fock.enumerate_subspace(3, 5)
-        for i, occ in enumerate(basis.index_list):
+        for i, occ in enumerate(map(tuple, basis.occupation_array.tolist())):
             assert basis.index(occ) == i
 
     def test_invalid_arguments(self):
@@ -76,7 +78,7 @@ class TestEnumerateSubspace:
             for photons in range(0, 13):
                 basis = fock.enumerate_subspace(modes, photons)
                 expected = tuple(recursive_compositions(photons, modes))
-                assert basis.index_list == expected
+                assert tuple(map(tuple, basis.occupation_array.tolist())) == expected
                 assert basis.dimension == len(expected)
                 for i, occ in enumerate(expected):
                     assert basis.index(occ) == i
@@ -151,7 +153,7 @@ class TestCoherentAmplitude:
         for photons in range(5):
             basis = fock.enumerate_subspace(3, photons)
             vec = fock.subspace_amplitudes(alphas, basis)
-            for i, occ in enumerate(basis.index_list):
+            for i, occ in enumerate(map(tuple, basis.occupation_array.tolist())):
                 assert vec[i] == pytest.approx(
                     fock.coherent_amplitude(alphas, occ), abs=1e-14
                 )

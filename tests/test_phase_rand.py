@@ -116,8 +116,9 @@ class TestMixedStateMatrix:
         for b in (0, 1):
             for n, block in enumerate(member_blocks(spec, str(b), 6)):
                 basis = fock.enumerate_subspace(2, n)
-                for i, (j, k) in enumerate(basis.index_list):
-                    for i2, (p, q) in enumerate(basis.index_list):
+                occupations = list(map(tuple, basis.occupation_array.tolist()))
+                for i, (j, k) in enumerate(occupations):
+                    for i2, (p, q) in enumerate(occupations):
                         expected = (
                             math.exp(-2 * alpha**2)
                             * (-1.0) ** (b * (k + q))
@@ -201,9 +202,10 @@ class TestSymmetryUnitary:
         modes = len(inspect.signature(image).parameters)
         for photons in range(0, 9):
             basis = fock.enumerate_subspace(modes, photons)
-            position = {occ: i for i, occ in enumerate(basis.index_list)}
+            occupations = list(map(tuple, basis.occupation_array.tolist()))
+            position = {occ: i for i, occ in enumerate(occupations)}
             expected = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-            for col, occ in enumerate(basis.index_list):
+            for col, occ in enumerate(occupations):
                 expected[position[image(*occ)], col] = sign(*occ)
             u = phase_rand.subspace_symmetry_unitary(tag, photons)
             assert np.array_equal(u, expected)
@@ -226,7 +228,7 @@ class TestGenericCoherentPath:
                 state = CoherentStateVector(tuple(alphas))
                 weights = phase_rand.poisson_series(state.mean_photons, 1e-10)
                 states = [
-                    phase_rand._subspace_component(state, n) for n in range(len(weights))
+                    phase_rand.subspace_component(state, n) for n in range(len(weights))
                 ]
                 family_states = [
                     symmetric.subspace_states(spec, n)[k] for n in range(len(states))
@@ -256,7 +258,7 @@ class TestGenericCoherentPath:
             weights = phase_rand.poisson_weights(state.mean_photons, 8)
             assert len(streamed) == len(stored) == 9
             for n, (mine, theirs) in enumerate(zip(streamed, stored)):
-                vec = phase_rand._subspace_component(state, n)
+                vec = phase_rand.subspace_component(state, n)
                 assert np.array_equal(mine, theirs)
                 assert np.array_equal(mine, np.outer(vec, vec.conj()) * weights[n])
 
@@ -264,7 +266,7 @@ class TestGenericCoherentPath:
         state = CoherentStateVector((0.4 + 0.3j, -0.7, 0.2j))
         weights = phase_rand.poisson_series(state.mean_photons, 1e-10)
         for n, w in enumerate(weights):
-            vec = phase_rand._subspace_component(state, n)
+            vec = phase_rand.subspace_component(state, n)
             basis = fock.enumerate_subspace(3, n)
             raw = fock.subspace_amplitudes(state.amplitudes, basis)
             assert float(np.vdot(raw, raw).real) == pytest.approx(w, abs=1e-13)

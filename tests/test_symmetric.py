@@ -345,7 +345,7 @@ class TestClosedFormOverlaps:
             basis = fock.enumerate_subspace(modes, photons)
             total = sum(
                 math.exp(-sum(math.lgamma(n + 1) for n in occ))
-                for occ in basis.index_list
+                for occ in map(tuple, basis.occupation_array.tolist())
             )
             expected = modes**photons / math.factorial(photons)
             assert total == pytest.approx(expected, rel=1e-12)
