@@ -9,6 +9,7 @@ than tautology.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -251,10 +252,45 @@ def whole_matrix_srm(
             coords[i].append(basis.conj().T @ np.asarray(vec, dtype=np.complex128))
     rhos = []
     for member in coords:
-        rho = phase_rand.direct_sum([w * np.outer(c, c.conj()) for w, c in zip(weights, member)])
+        rho = phase_rand.direct_sum(member, weights)
         rhos.append(rho / np.trace(rho).real)
     priors = [1.0 / n_states] * n_states
     return srm(rhos, priors)
+
+
+# ---------------------------------------------------------------------------
+# phase averaging, blind to photon number
+
+
+def phase_average(state: CoherentStateVector, n_max: int) -> np.ndarray:
+    """Average of |v_j><v_j| over the K = n_max + 1 rotated states e^(2 pi i j/K) a.
+
+    v_j is the coherent vector of the rotated amplitudes on the Fock space
+    truncated at N <= n_max, built ket by ket with `fock.coherent_amplitude`
+    over the kets of every `fock.enumerate_subspace(M, N)` in turn.  Nothing
+    here knows about photon-number blocks: the (N, N') entries carry the
+    phase sum (1/K) sum_j e^(2 pi i j (N - N')/K), which is exactly
+    delta_{NN'} because |N - N'| <= n_max < K.  So the average equals the
+    continuous phase average truncated at n_max, the direct sum
+    `phase_rand.phase_randomized_state` builds block by block.
+    """
+    if n_max < 0:
+        raise ValueError(f"truncation photon number {n_max} is negative")
+    kets = [
+        occupations
+        for n in range(n_max + 1)
+        for occupations in fock.enumerate_subspace(state.modes, n).occupation_array.tolist()
+    ]
+    turns = n_max + 1
+    rows = []  # row j is v_j
+    for j in range(turns):
+        phase = cmath.rect(1.0, 2.0 * math.pi * j / turns)
+        rotated = [phase * a for a in state.amplitudes]
+        rows.append([fock.coherent_amplitude(rotated, ket) for ket in kets])
+    v = np.array(rows, dtype=np.complex128)
+    average = v.T @ v.conj()
+    average /= turns
+    return average
 
 
 # ---------------------------------------------------------------------------

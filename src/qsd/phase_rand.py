@@ -4,16 +4,16 @@ Averaging a multi-mode coherent state over a uniform global phase is applied
 analytically: the phase integral enforces equality of total photon number
 between ket and bra (a Kronecker delta), so the mixed state is an exact
 direct sum over N-photon blocks, each block a Poisson weight p_N times a
-rank-1 projector.  Blocks are therefore built one at a time, and only small
-direct sums are ever embedded into one dense array.
+rank-1 projector.  Each block is written straight into one dense array, and
+only small direct sums are ever embedded.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -35,10 +35,6 @@ DEFAULT_N_CAP = 150
 
 #: Largest dimension `direct_sum` will embed into.
 DENSE_DIMENSION_CAP = 10_000
-
-#: Rows of a `RankOneBlock` written per step: a chunk of 64 rows stays in
-#: cache while it is scaled (and, in verify's purity check, reduced).
-ROW_CHUNK = 64
 
 
 def check_tail_tol(value: float, name: str) -> float:
@@ -84,6 +80,8 @@ def poisson_series(
     """
     if not mean >= 0:  # also rejects nan
         raise ValueError(f"mean photon number {mean} is not a number >= 0")
+    if n_max is not None and n_max < 0:
+        raise ValueError(f"truncation photon number {n_max} is negative")
     if n_max is None:
         check_tail_tol(tail_tol, "tail_tol")
     term = math.exp(-mean)
@@ -212,21 +210,27 @@ def subspace_state_blocks(
 # block-diagonal density matrices
 
 
-def direct_sum(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense matrix with the square `blocks` on its diagonal, in order.
+def direct_sum(vectors: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
+    """Dense sum over N of the blocks weights[N] |v_N><v_N|, v_N = vectors[N],
+    on the diagonal in order.
 
-    Off-block entries are exact zeros.  Raises CapacityError past
-    DENSE_DIMENSION_CAP, so only small embeddings are materialised.
+    Each block is written in place into one zeroed array: the complex
+    products v_i conj(v_j), with both parts then scaled by the weight through
+    the float view (the values of complex * real, without the zero imaginary
+    products).  Off-block entries are exact zeros.  Raises CapacityError
+    past DENSE_DIMENSION_CAP, so only small embeddings are materialised.
     """
-    dim = sum(b.shape[0] for b in blocks)
+    dim = sum(len(v) for v in vectors)
     if dim > DENSE_DIMENSION_CAP:
         raise CapacityError(f"dense embedding of dimension {dim} > cap")
     out = np.zeros((dim, dim), dtype=np.complex128)
     offset = 0
-    for block in blocks:
-        d = block.shape[0]
-        out[offset : offset + d, offset : offset + d] = block
-        offset += d
+    for vec, weight in zip(vectors, weights, strict=True):
+        end = offset + len(vec)
+        block = np.outer(vec, vec.conj(), out=out[offset:end, offset:end])
+        parts = block.view(np.float64)
+        parts *= weight
+        offset = end
     return out
 
 
@@ -254,61 +258,12 @@ def subspace_component(state: CoherentStateVector, photons: int) -> np.ndarray:
     return vec if norm == 0.0 else vec / norm
 
 
-@dataclass(frozen=True)
-class RankOneBlock:
-    """The block weight * |vec><vec|, read in parts and never held whole.
-
-    Every entry, whether read in a row chunk, a column or the diagonal, is
-    the complex product vec_i conj(vec_j) with both parts then scaled by
-    `weight` through the float view (the values of complex * real, without
-    the zero imaginary products), so the parts agree bit for bit with
-    `dense()`.
-    """
-
-    vec: np.ndarray
-    weight: float
-    conj: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "conj", self.vec.conj())
-
-    def rows(self, start: int, out: np.ndarray) -> np.ndarray:
-        """Rows start..start+len(out) written into the C-contiguous `out`."""
-        return self._scaled(np.outer(self.vec[start : start + len(out)], self.conj, out=out))
-
-    def column(self, j: int) -> np.ndarray:
-        return self._scaled(self.vec * self.conj[j])
-
-    def diagonal(self) -> np.ndarray:
-        """The real diagonal."""
-        return self._scaled(self.vec * self.conj).real
-
-    def dense(self) -> np.ndarray:
-        """The whole d x d block, written ROW_CHUNK rows at a time, each chunk
-        scaled while still in cache."""
-        d = len(self.vec)
-        out = np.empty((d, d), dtype=np.complex128)
-        for start in range(0, d, ROW_CHUNK):
-            self.rows(start, out[start : start + ROW_CHUNK])
-        return out
-
-    def _scaled(self, products: np.ndarray) -> np.ndarray:
-        parts = products.view(np.float64)
-        parts *= self.weight
-        return products
-
-
-def randomized_blocks(state: CoherentStateVector, n_max: int) -> Iterator[np.ndarray]:
-    """Yield the dense blocks p_N |psi_N><psi_N| for N = 0..n_max (see
-    `RankOneBlock.dense`)."""
-    for n, weight in enumerate(poisson_weights(state.mean_photons, n_max)):
-        yield RankOneBlock(subspace_component(state, n), weight).dense()
-
-
 def phase_randomized_state(state: CoherentStateVector, n_max: int) -> np.ndarray:
     """Phase-randomized density matrix of a generic coherent state: the
-    `direct_sum` of its `randomized_blocks`."""
-    return direct_sum(list(randomized_blocks(state, n_max)))
+    `direct_sum` of p_N |psi_N><psi_N| for N = 0..n_max."""
+    weights = poisson_weights(state.mean_photons, n_max)
+    vectors = [subspace_component(state, n) for n in range(n_max + 1)]
+    return direct_sum(vectors, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -286,65 +286,18 @@ def suite_families() -> list[CheckResult]:
 # appendix_a: direct-sum structure of phase-randomized states
 
 
-def _rank1_projector_defect(u: phase_rand.RankOneBlock, p: float) -> float:
-    """||u/p - w w^+||_F + | ||w||^2 - 1 |, zero iff u/p is a rank-1 projector.
-
-    w = (u/p)[:, j] / sqrt((u/p)_jj) for the column j with the largest real
-    diagonal, or w = 0 when no diagonal is positive (then u/p is no rank-1
-    projector and the defect is ||u/p||_F + 1).  u is read as
-    `phase_rand.RankOneBlock` offers it, through `diagonal()`, `column(j)`
-    and `rows(start, out)`, so the d x d matrix is never held: one pass
-    writes each ROW_CHUNK rows into one reused buffer, renormalizes them on
-    the float view by 1/p (the values of complex / real), subtracts w w^+
-    through 16-row temporaries and adds the chunk's squared norm while it
-    is still in cache.  O(d^2) time, O(ROW_CHUNK d) memory.
-    """
-    scale = 1.0 / p
-    diagonal = u.diagonal() * scale
-    j = int(np.argmax(diagonal))
-    pivot = float(diagonal[j])
-    if pivot > 0.0:
-        w = u.column(j) * scale / math.sqrt(pivot)
-    else:
-        w = np.zeros(len(diagonal), complex)
-    w_conj = w.conj()
-    buffer = np.empty((min(phase_rand.ROW_CHUNK, len(w)), len(w)), dtype=np.complex128)
-    squared = 0.0
-    for rows in range(0, len(w), phase_rand.ROW_CHUNK):  # the norm is summed per chunk
-        chunk = u.rows(rows, buffer[: len(w) - rows])
-        parts = chunk.view(np.float64)
-        parts *= scale
-        for sub in range(0, len(chunk), 16):
-            chunk[sub : sub + 16] -= np.outer(w[rows + sub : rows + sub + 16], w_conj)
-        squared += float(np.vdot(chunk, chunk).real)
-    return math.sqrt(squared) + abs(float(np.vdot(w, w).real) - 1.0)
-
-
-def _block_purity_defect(spec: SymmetricFamilySpec) -> float:
-    """Worst rank-1 projector defect of every member's renormalized blocks.
-
-    Each block p_N |psi_N><psi_N| is a `phase_rand.RankOneBlock` read one
-    row chunk at a time, so no whole block is ever allocated; the p_N come
-    from one Poisson pass that all members share.
-    """
-    weights = phase_rand.poisson_series(spec.mean_photons, 1e-10)
-    worst = 0.0
-    for amplitudes in spec.amplitude_vectors():
-        state = phase_rand.CoherentStateVector(tuple(amplitudes))
-        for n, p in enumerate(weights):
-            block = phase_rand.RankOneBlock(phase_rand.subspace_component(state, n), p)
-            worst = max(worst, _rank1_projector_defect(block, p))
-    return worst
-
-
 def suite_appendix_a() -> list[CheckResult]:
     results = []
 
-    # each photon-number block, renormalized, is a rank-1 projector
-    worst = max(
-        _block_purity_defect(SymmetricFamilySpec(tag, 0.7))
-        for tag in disc.COHERENT_FAMILIES
-    )
+    # averaging over K = n_max + 1 global phases, blind to photon number,
+    # gives the direct sum of the blocks p_N |psi_N><psi_N|
+    worst = 0.0
+    for tag in disc.COHERENT_FAMILIES:
+        for amplitudes in SymmetricFamilySpec(tag, 0.7).amplitude_vectors():
+            state = phase_rand.CoherentStateVector(tuple(amplitudes))
+            difference = oracle.phase_average(state, 6)
+            difference -= phase_rand.phase_randomized_state(state, 6)
+            worst = max(worst, float(np.max(np.abs(difference))))
     results.append(_check("appendix_a.block_purity", worst, 1e-10))
 
     # the generating unitary maps neighbours onto each other, and U^L = 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsd import discrimination as disc
-from qsd import oracle, phase_rand, symmetric
+from qsd import fock, oracle, phase_rand, symmetric
 from qsd.phase_rand import CoherentStateVector
 from qsd.symmetric import SymmetricFamilySpec
 
@@ -214,6 +214,51 @@ class TestWholeMatrixSrm:
         weights, blocks = phase_rand.subspace_state_blocks(spec, 1e-4)
         povm, _value = oracle.whole_matrix_srm(blocks, weights)
         povm.validate()
+
+
+    @pytest.mark.parametrize("tag", disc.COHERENT_FAMILIES)
+    def test_states_are_the_literal_direct_sum(self, monkeypatch, tag):
+        # each state is sum_N p_N |c_N><c_N| in span coordinates, embedded
+        # block by block and normalized to unit trace
+        seen = []
+        real = oracle.srm
+        monkeypatch.setattr(oracle, "srm", lambda rhos, p: seen.append(rhos) or real(rhos, p))
+        for alpha in (0.3, 0.7, 1.2):
+            weights, blocks = phase_rand.subspace_state_blocks(SymmetricFamilySpec(tag, alpha))
+            oracle.whole_matrix_srm(blocks, weights)
+            bases = [oracle.span_orthonormal_basis(block) for block in blocks]
+            for i, rho in enumerate(seen.pop()):
+                expected = np.zeros_like(rho)
+                offset = 0
+                for w, basis, block in zip(weights, bases, blocks):
+                    c = basis.conj().T @ block[i]
+                    end = offset + len(c)
+                    expected[offset:end, offset:end] = w * np.outer(c, c.conj())
+                    offset = end
+                assert np.array_equal(rho, expected / np.trace(expected).real)
+
+
+class TestPhaseAverage:
+    def test_shares_no_amplitude_code_with_the_direct_sum(self, monkeypatch):
+        state = CoherentStateVector((0.7, 0.7j))
+        expected = oracle.phase_average(state, 4)
+
+        def refuse(*_args):
+            raise AssertionError("phase_average read the direct sum's amplitudes")
+
+        for module, name in ((fock, "subspace_amplitudes"), (phase_rand, "subspace_component"),
+                             (phase_rand, "poisson_weights")):
+            monkeypatch.setattr(module, name, refuse)
+        assert np.array_equal(oracle.phase_average(state, 4), expected)
+
+    def test_vacuum_at_zero_truncation(self):
+        average = oracle.phase_average(CoherentStateVector((0.5, 1.0)), 0)
+        assert average.shape == (1, 1)
+        assert average[0, 0] == pytest.approx(math.exp(-1.25), abs=1e-15)
+
+    def test_negative_truncation_refused(self):
+        with pytest.raises(ValueError, match="negative"):
+            oracle.phase_average(CoherentStateVector((0.5,)), -1)
 
 
 class TestVerifyAppendixB:

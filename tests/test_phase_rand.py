@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,17 @@ from qsd.phase_rand import CoherentStateVector
 from qsd.symmetric import SymmetricFamilySpec
 
 
+def diagonal_blocks(rho, modes, n_max):
+    """The N-photon diagonal blocks of a dense state, N = 0..n_max."""
+    ends = np.cumsum([0] + [fock.subspace_dimension(modes, n) for n in range(n_max + 1)])
+    assert rho.shape == (ends[-1], ends[-1])
+    return [rho[a:b, a:b] for a, b in zip(ends[:-1], ends[1:])]
+
+
 def member_blocks(spec, label, n_max):
-    """The blocks p_N |psi_N><psi_N| of one family member, N = 0..n_max."""
-    amplitudes = spec.amplitude_vectors()[spec.labels.index(label)]
-    return list(phase_rand.randomized_blocks(CoherentStateVector(tuple(amplitudes)), n_max))
+    """The blocks p_N |psi_N><psi_N| of one family member, N = 0..n_max,
+    sliced out of its `mixed_state_matrix`."""
+    return diagonal_blocks(phase_rand.mixed_state_matrix(spec, label, n_max), spec.modes, n_max)
 
 
 def poisson_tail(mean, beyond):
@@ -169,6 +177,50 @@ class TestMixedStateMatrix:
         with pytest.raises(ValueError):
             phase_rand.mixed_state_matrix(spec, "2", 4)
 
+    @pytest.mark.parametrize("tag", disc.COHERENT_FAMILIES)
+    @pytest.mark.parametrize("alpha", (0.3, 0.7, 1.2))
+    def test_equals_the_literal_embedding(self, tag, alpha):
+        # the block p_N |psi_N><psi_N| is vec_i conj(vec_j) with both parts
+        # scaled by p_N, then placed on the diagonal of a zero matrix
+        spec = SymmetricFamilySpec(tag, alpha)
+        for label, alphas in zip(spec.labels, spec.amplitude_vectors()):
+            state = CoherentStateVector(tuple(alphas))
+            weights = phase_rand.poisson_weights(state.mean_photons, 8)
+            dim = sum(fock.subspace_dimension(spec.modes, n) for n in range(9))
+            expected = np.zeros((dim, dim), complex)
+            offset = 0
+            for n, weight in enumerate(weights):
+                vec = phase_rand.subspace_component(state, n)
+                block = np.outer(vec, vec.conj())
+                block.view(float)[...] *= weight
+                expected[offset : offset + len(vec), offset : offset + len(vec)] = block
+                offset += len(vec)
+            rho = phase_rand.mixed_state_matrix(spec, label, 8)
+            assert rho.tobytes() == expected.tobytes()
+            assert phase_rand.phase_randomized_state(state, 8).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_max", (-1, -3))
+    def test_negative_truncation_refused(self, n_max):
+        spec = SymmetricFamilySpec("two_mode", 1.0)
+        with pytest.raises(ValueError, match="negative"):
+            phase_rand.poisson_weights(1.0, n_max)
+        with pytest.raises(ValueError, match="negative"):
+            phase_rand.mixed_state_matrix(spec, "0", n_max)
+
+    def test_holds_nothing_but_the_result(self):
+        # four_mode to N = 10 is 1001 x 1001 complex (16.0 MB); its 11 blocks
+        # (3 MB) are written in place, never held beside it
+        spec = SymmetricFamilySpec("four_mode", 0.7)
+        phase_rand.mixed_state_matrix(spec, "00", 10)  # fill the basis caches
+        tracemalloc.start()
+        try:
+            rho = phase_rand.mixed_state_matrix(spec, "00", 10)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rho.nbytes == 1001 * 1001 * 16
+        assert peak <= 1.05 * rho.nbytes
+
 
 class TestSymmetryUnitary:
     @pytest.mark.parametrize("tag", ("two_mode", "three_mode", "four_mode", "phase_encoded"))
@@ -238,7 +290,8 @@ class TestGenericCoherentPath:
 
     def test_beam_split_states_are_number_diagonal(self):
         amp = math.sqrt(2.0) * 0.5
-        blocks = phase_rand.randomized_blocks(CoherentStateVector((amp, 0.0)), 10)
+        rho = phase_rand.phase_randomized_state(CoherentStateVector((amp, 0.0)), 10)
+        blocks = diagonal_blocks(rho, 2, 10)
         mean = amp**2
         for n, block in enumerate(blocks):
             expected = np.zeros_like(block)
@@ -246,21 +299,18 @@ class TestGenericCoherentPath:
             assert np.max(np.abs(block - expected)) < 1e-14
 
     def test_streamed_blocks_equal_stored_blocks(self):
+        # each block is written in place into the direct sum: its entries are
+        # those of p_N |psi_N><psi_N| built on its own
         for tag, label in (("four_mode", "01"), ("two_mode", "1")):
             spec = SymmetricFamilySpec(tag, 0.7)
             alphas = spec.amplitude_vectors()[spec.labels.index(label)]
             state = CoherentStateVector(tuple(alphas))
-            streamed = list(phase_rand.randomized_blocks(state, 8))
-            dense = phase_rand.mixed_state_matrix(spec, label, 8)
-            ends = np.cumsum([0] + [len(block) for block in streamed])
-            stored = [dense[a:b, a:b] for a, b in zip(ends[:-1], ends[1:])]
-            assert dense.shape == (ends[-1], ends[-1])
+            stored = member_blocks(spec, label, 8)
             weights = phase_rand.poisson_weights(state.mean_photons, 8)
-            assert len(streamed) == len(stored) == 9
-            for n, (mine, theirs) in enumerate(zip(streamed, stored)):
+            assert len(stored) == 9
+            for n, block in enumerate(stored):
                 vec = phase_rand.subspace_component(state, n)
-                assert np.array_equal(mine, theirs)
-                assert np.array_equal(mine, np.outer(vec, vec.conj()) * weights[n])
+                assert np.array_equal(block, np.outer(vec, vec.conj()) * weights[n])
 
     def test_weights_are_squared_norms(self):
         state = CoherentStateVector((0.4 + 0.3j, -0.7, 0.2j))

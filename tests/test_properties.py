@@ -1,11 +1,15 @@
 """Property tests of the paper's invariants over family, metric and |alpha|."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from qsd import discrimination as disc
-from qsd import phase_rand
+from qsd import oracle, phase_rand
 
 SLACK = 1e-12
 
@@ -82,3 +86,22 @@ def test_mixed_non_decreasing_in_alpha(case, alphas):
     metric, family = case
     lower, upper = (value(metric, family, "mixed", a) for a in alphas)
     assert lower <= upper + MONOTONE_SLACK
+
+
+#: A coherent state of 1 to 3 modes with no symmetry: |a_m| <= 1.2, any phase.
+AMPLITUDES = st.lists(
+    st.builds(complex.__mul__, st.floats(0.0, 1.2).map(complex),
+              st.floats(0.0, 2.0 * math.pi).map(lambda t: complex(math.cos(t), math.sin(t)))),
+    min_size=1, max_size=3,
+)
+
+
+@settings(deterministic, max_examples=40)
+@given(amplitudes=AMPLITUDES, n_max=st.integers(0, 5))
+def test_any_phase_randomized_state_is_the_direct_sum(amplitudes, n_max):
+    # the reduction of Appendix A holds for every coherent state, not only
+    # for the symmetric families
+    state = phase_rand.CoherentStateVector(tuple(amplitudes))
+    average = oracle.phase_average(state, n_max)
+    direct = phase_rand.phase_randomized_state(state, n_max)
+    assert np.max(np.abs(average - direct)) <= 1e-12

@@ -1,12 +1,10 @@
-import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qsd import discrimination as disc
-from qsd import oracle, phase_rand, verify
+from qsd import fock, oracle, phase_rand, verify
 from qsd.discrimination import CrossoverReport
 from qsd.symmetric import GramMatrix, SymmetricFamilySpec
 
@@ -51,6 +49,8 @@ def test_every_check_records_tol_and_margin(all_results):
         assert r.passed == (r.margin < 1.0)
     by_id = {r.check_id: r for r in all_results}
     assert by_id["families.closed_form_vs_block_srm"].tol == 1e-8
+    purity = by_id["appendix_a.block_purity"]
+    assert purity.tol == 1e-10 and purity.error < 1e-14
     booleans = by_id["circuit.fig3_identification_map"]
     assert (booleans.tol, booleans.error, booleans.margin) == (verify.BOOLEAN_TOL, 0.0, 0.0)
 
@@ -83,90 +83,46 @@ def test_missing_crossover_fails_with_a_tol(monkeypatch):
     assert (result.tol, result.margin) == (verify.BOOLEAN_TOL, 1.0)
 
 
+def block_purity():
+    [result] = [r for r in verify.suite_appendix_a() if r.check_id == "appendix_a.block_purity"]
+    return result
+
+
+def random_unit_component(state, photons):
+    rng = np.random.default_rng(photons)
+    dim = fock.subspace_dimension(state.modes, photons)
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return vec / np.linalg.norm(vec)
+
+
+def shifted_poisson_weights(mean, n_max):
+    return phase_rand.poisson_series(mean, n_max=n_max + 1)[1:]
+
+
+def unaveraged_state(state, n_max):
+    v = np.concatenate([
+        fock.subspace_amplitudes(state.amplitudes, fock.enumerate_subspace(state.modes, n))
+        for n in range(n_max + 1)
+    ])
+    return np.outer(v, v.conj())
+
+
+@pytest.mark.parametrize("target,fault", [
+    ("subspace_component", random_unit_component),
+    ("poisson_weights", shifted_poisson_weights),
+    ("phase_randomized_state", unaveraged_state),
+])
+def test_block_purity_fails_on_a_wrong_state(monkeypatch, target, fault):
+    # a wrong N-photon component, a wrong Poisson weight, or coherences kept
+    # between photon numbers: the phase average tells each from the direct sum
+    monkeypatch.setattr(phase_rand, target, fault)
+    result = block_purity()
+    assert not result.passed and result.error > 0.1
+
+
 def test_unknown_suite():
     with pytest.raises(ValueError):
         verify.run_suite("appendix_z")
-
-
-class DenseRows:
-    """A dense matrix read as `verify._rank1_projector_defect` reads a block:
-    its real diagonal, one column, and rows copied into the caller's buffer."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def diagonal(self):
-        return self.u.diagonal().real
-
-    def column(self, j):
-        return self.u[:, j]
-
-    def rows(self, start, out):
-        out[...] = self.u[start : start + len(out)]
-        return out
-
-
-def dense_defect(u, p=1.0):
-    return verify._rank1_projector_defect(DenseRows(u), p)
-
-
-class TestRank1ProjectorDefect:
-    @staticmethod
-    def unit_vector(dim, seed):
-        rng = np.random.default_rng(seed)
-        w = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return w / np.linalg.norm(w)
-
-    def test_zero_on_rank1_projectors(self):
-        for seed, dim in enumerate((1, 2, 5, 40)):
-            w = self.unit_vector(dim, seed)
-            assert dense_defect(np.outer(w, w.conj())) < 1e-14
-            assert verify._rank1_projector_defect(phase_rand.RankOneBlock(w, 0.3), 0.3) < 1e-14
-
-    def test_rank2_projector(self):
-        a, b = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 2)))[0].T
-        u = (np.outer(a, a) + np.outer(b, b)).astype(complex)
-        assert dense_defect(u) > 1e-3
-
-    def test_scaled_projector(self):
-        # exactly | ||w||^2 - 1 | = 1e-3 up to rounding: far above the 1e-10 tolerance
-        w = self.unit_vector(7, 11)
-        defect = dense_defect(1.001 * np.outer(w, w.conj()))
-        assert defect == pytest.approx(1e-3, rel=1e-9)
-
-    def test_non_psd_with_unit_trace_and_norm(self):
-        u = np.diag([2.0, 2.0, -1.0]).astype(complex) / 3.0
-        assert np.trace(u).real == pytest.approx(1.0)
-        assert np.linalg.norm(u) == pytest.approx(1.0)
-        assert dense_defect(u) > 1e-3
-
-    def test_zero_matrix_fails_without_raising(self):
-        assert dense_defect(np.zeros((3, 3), complex)) > 1e-3
-
-    @pytest.mark.parametrize("dim", [3, 64, 65, 200])
-    @pytest.mark.parametrize("p", [0.37, np.float64(2.5e-3), 3.0])
-    def test_renormalizing_in_chunks_is_bit_identical(self, dim, p):
-        # u / p is complex / real: numpy computes it as (a + b*0) * (1/p)
-        rng = np.random.default_rng(dim)
-        w = self.unit_vector(dim, dim)
-        for u in (p * np.outer(w, w.conj()), rng.normal(size=(dim, dim)) + 0j):
-            renormalized = u / p
-            assert np.array_equal(renormalized.view(float), u.view(float) * (1.0 / p))
-            expected = dense_defect(renormalized)
-            kept = u.copy()
-            assert dense_defect(u, p) == expected
-            assert np.array_equal(u, kept)  # read, never overwritten
-
-    @pytest.mark.parametrize("dim", [3, 64, 65, 200])
-    def test_chunked_norm_matches_whole_difference(self, dim):
-        rng = np.random.default_rng(dim)
-        x = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
-        u = x @ x.conj().T
-        j = int(np.argmax(u.diagonal().real))
-        w = u[:, j] / np.sqrt(u[j, j].real)
-        expected = np.linalg.norm(u - np.outer(w, w.conj()))
-        expected += abs(np.vdot(w, w).real - 1.0)
-        assert dense_defect(u) == pytest.approx(expected, rel=1e-12)
 
 
 def test_full_suite_matches_reference_ids(all_results):
@@ -204,56 +160,3 @@ def test_block_srm_success_is_bit_identical_to_block_srm(tag, alpha):
     spec = SymmetricFamilySpec(tag, alpha)
     blocks_first = phase_rand.subspace_state_blocks(spec)[::-1]
     assert verify._block_srm_success(tag, alpha) == oracle.block_srm(*blocks_first)
-
-
-def test_block_purity_holds_no_whole_block():
-    # four_mode at |alpha| = 0.7 runs to N = 16: the largest block is 969 x 969
-    # complex (15 MB).  The check holds one 64-row chunk of it (1 MB) and
-    # row-sized temporaries; 4 MB leaves no room for a whole block.
-    spec = SymmetricFamilySpec("four_mode", 0.7)
-    tracemalloc.start()
-    try:
-        defect = verify._block_purity_defect(spec)
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert defect < 1e-10
-    assert peak < 4e6
-
-
-def dense_block_defect(u, p):
-    """The defect as computed on a whole block held in memory, overwriting u."""
-    scale = 1.0 / p
-    diagonal = u.diagonal().real * scale
-    j = int(np.argmax(diagonal))
-    pivot = float(diagonal[j])
-    w = u[:, j] * scale / math.sqrt(pivot) if pivot > 0.0 else np.zeros(len(u), complex)
-    w_conj = w.conj()
-    parts = u.view(np.float64)
-    squared = 0.0
-    for rows in range(0, len(w), 64):
-        parts[rows : rows + 64] *= scale
-        for sub in range(rows, min(rows + 64, len(w)), 16):
-            u[sub : sub + 16] -= np.outer(w[sub : sub + 16], w_conj)
-        chunk = u[rows : rows + 64]
-        squared += float(np.vdot(chunk, chunk).real)
-    return math.sqrt(squared) + abs(float(np.vdot(w, w).real) - 1.0)
-
-
-@pytest.mark.parametrize("tag,alpha", BLOCK_SRM_INPUTS)
-def test_streamed_purity_defect_is_bit_identical_to_whole_blocks(tag, alpha):
-    # whole blocks up to N = 16, the largest `qsd verify all` reaches (969 x 969):
-    # four_mode at |alpha| = 1.2 runs to N = 27, where one block is 4060 x 4060 (264 MB)
-    spec = SymmetricFamilySpec(tag, alpha)
-    n_max = phase_rand.truncation_photon_number(spec.mean_photons, 1e-10)
-    weights = phase_rand.poisson_weights(spec.mean_photons, n_max)
-    worst = 0.0
-    for amplitudes in spec.amplitude_vectors():
-        state = phase_rand.CoherentStateVector(tuple(amplitudes))
-        for n, block in enumerate(phase_rand.randomized_blocks(state, min(n_max, 16))):
-            expected = dense_block_defect(block, weights[n])
-            streamed = phase_rand.RankOneBlock(phase_rand.subspace_component(state, n), weights[n])
-            assert verify._rank1_projector_defect(streamed, weights[n]).hex() == expected.hex()
-            worst = max(worst, expected)
-    if n_max <= 16:
-        assert verify._block_purity_defect(spec).hex() == worst.hex()
