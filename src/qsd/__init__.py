@@ -29,7 +29,6 @@ from .fock import (
     NotPositiveSemidefiniteError,
     SpectralDecomposition,
     SubspaceBasis,
-    coherent_amplitude,
     enumerate_subspace,
     hermitian_eig,
     matrix_function,

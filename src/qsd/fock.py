@@ -139,42 +139,12 @@ def enumerate_subspace(modes: int, photons: int) -> SubspaceBasis:
 # coherent-state amplitudes
 
 
-def coherent_amplitude(
-    alphas: Sequence[complex], occupations: Sequence[int]
-) -> complex:
-    """Number-basis amplitude <n_1,...,n_M | alpha_1,...,alpha_M>.
-
-    Equals exp(-sum |alpha_m|^2 / 2) * prod_m alpha_m^{n_m} / sqrt(n_m!),
-    evaluated in log-magnitude + phase form so that large occupations
-    (n ~ 100) neither overflow nor lose the phase.
-    """
-    if len(alphas) != len(occupations):
-        raise ValueError(
-            f"{len(alphas)} amplitudes but {len(occupations)} occupations"
-        )
-    alphas = [complex(a) for a in alphas]
-    log_mag = -0.5 * sum(abs(a) ** 2 for a in alphas)
-    phase = 0.0
-    for a, n in zip(alphas, occupations):
-        if n < 0:
-            raise ValueError(f"negative occupation {n}")
-        if n == 0:
-            continue
-        mag = abs(a)
-        if mag == 0.0:
-            return 0.0 + 0.0j
-        log_mag += n * math.log(mag) - 0.5 * log_factorials(n)[n]
-        phase += n * math.atan2(a.imag, a.real)
-    value = math.exp(log_mag) * complex(math.cos(phase), math.sin(phase))
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ArithmeticError(f"non-finite amplitude for occupations {occupations}")
-    return value
-
-
 def subspace_amplitudes(alphas: Sequence[complex], basis: SubspaceBasis) -> np.ndarray:
-    """Vector of coherent amplitudes over a whole subspace basis.
+    """Number-basis amplitudes <n_1,...,n_M | alpha_1,...,alpha_M> over a basis.
 
-    Vectorised version of `coherent_amplitude` for every ket in `basis`.
+    Each equals exp(-sum |alpha_m|^2 / 2) * prod_m alpha_m^{n_m} / sqrt(n_m!),
+    evaluated for every ket at once in log-magnitude + phase form, so that
+    large occupations (n ~ 100) neither overflow nor lose the phase.
     """
     alphas = [complex(a) for a in alphas]
     if len(alphas) != basis.modes:

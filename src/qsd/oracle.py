@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -266,28 +267,40 @@ def phase_average(state: CoherentStateVector, n_max: int) -> np.ndarray:
     """Average of |v_j><v_j| over the K = n_max + 1 rotated states e^(2 pi i j/K) a.
 
     v_j is the coherent vector of the rotated amplitudes on the Fock space
-    truncated at N <= n_max, built ket by ket with `fock.coherent_amplitude`
-    over the kets of every `fock.enumerate_subspace(M, N)` in turn.  Nothing
-    here knows about photon-number blocks: the (N, N') entries carry the
-    phase sum (1/K) sum_j e^(2 pi i j (N - N')/K), which is exactly
-    delta_{NN'} because |N - N'| <= n_max < K.  So the average equals the
-    continuous phase average truncated at n_max, the direct sum
-    `phase_rand.phase_randomized_state` builds block by block.
+    truncated at N <= n_max, over the kets of every
+    `fock.enumerate_subspace(M, N)` in turn.  Each mode m contributes a
+    K x (n_max + 1) table of single-mode amplitudes from the recurrence
+    c_0 = e^(-|a_m|^2/2), c_n = c_(n-1) e^(2 pi i j/K) a_m / sqrt(n), whose
+    entries are at most 1 in magnitude; v_j of a ket is the product over m of
+    its table entries.  Nothing here knows about photon-number blocks: the
+    (N, N') entries carry the phase sum (1/K) sum_j e^(2 pi i j (N - N')/K),
+    which is exactly delta_{NN'} because |N - N'| <= n_max < K.  So the
+    average equals the continuous phase average truncated at n_max, the
+    direct sum `phase_rand.phase_randomized_state` builds block by block.
+
+    Raises CapacityError before enumerating anything when the truncated
+    dimension exceeds `phase_rand.DENSE_DIMENSION_CAP`, and when some
+    e^(-|a_m|^2/2) underflows, which would silently zero its whole table.
     """
     if n_max < 0:
         raise ValueError(f"truncation photon number {n_max} is negative")
-    kets = [
-        occupations
-        for n in range(n_max + 1)
-        for occupations in fock.enumerate_subspace(state.modes, n).occupation_array.tolist()
-    ]
+    dim = sum(fock.subspace_dimension(state.modes, n) for n in range(n_max + 1))
+    if dim > phase_rand.DENSE_DIMENSION_CAP:
+        raise fock.CapacityError(f"phase average of dimension {dim} > cap")
+    vacuum = [math.exp(-0.5 * abs(a) ** 2) for a in state.amplitudes]
+    if min(vacuum) < sys.float_info.min:
+        raise fock.CapacityError(f"vacuum amplitude of {state.amplitudes} underflows")
+    kets = np.concatenate(
+        [fock.enumerate_subspace(state.modes, n).occupation_array for n in range(n_max + 1)]
+    )
     turns = n_max + 1
-    rows = []  # row j is v_j
-    for j in range(turns):
-        phase = cmath.rect(1.0, 2.0 * math.pi * j / turns)
-        rotated = [phase * a for a in state.amplitudes]
-        rows.append([fock.coherent_amplitude(rotated, ket) for ket in kets])
-    v = np.array(rows, dtype=np.complex128)
+    phases = np.array([cmath.rect(1.0, 2.0 * math.pi * j / turns) for j in range(turns)])
+    steps = np.empty((turns, n_max + 1), dtype=np.complex128)
+    v = np.ones((turns, dim), dtype=np.complex128)  # row j is v_j
+    for a, c_0, occupations in zip(state.amplitudes, vacuum, kets.T):
+        steps[:, 0] = c_0
+        np.divide((phases * a)[:, None], np.sqrt(np.arange(1, n_max + 1)), out=steps[:, 1:])
+        v *= np.multiply.accumulate(steps, axis=1)[:, occupations]
     average = v.T @ v.conj()
     average /= turns
     return average

@@ -10,6 +10,7 @@ only small direct sums are ever embedded.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -56,6 +57,8 @@ class CoherentStateVector:
         )
         if not self.amplitudes:
             raise ValueError("need at least one mode")
+        if not all(map(cmath.isfinite, self.amplitudes)):
+            raise ValueError(f"amplitudes {self.amplitudes} are not all finite")
 
     @property
     def modes(self) -> int:

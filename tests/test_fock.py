@@ -119,44 +119,53 @@ def recursive_compositions(total, parts):
             yield (first,) + rest
 
 
+def direct_amplitude(alphas, occupations):
+    """Reference amplitude e^(-sum |a|^2/2) prod a^n / sqrt(n!), term by term."""
+    value = complex(math.exp(-sum(abs(a) ** 2 for a in alphas) / 2))
+    for a, n in zip(alphas, occupations):
+        value *= a**n / math.sqrt(math.factorial(n))
+    return value
+
+
+def amplitude(alphas, occupations):
+    """`fock.subspace_amplitudes` at one ket of its subspace."""
+    basis = fock.enumerate_subspace(len(occupations), sum(occupations))
+    return fock.subspace_amplitudes(alphas, basis)[basis.index(occupations)]
+
+
 class TestCoherentAmplitude:
     def test_single_mode_vacuum_component(self):
         for alpha in (0.3, 1.0, 2.5):
-            value = fock.coherent_amplitude([alpha], [0])
+            value = amplitude([alpha], (0,))
             assert value == pytest.approx(math.exp(-abs(alpha) ** 2 / 2), abs=1e-15)
 
     def test_zero_state(self):
-        assert fock.coherent_amplitude([0.0, 0.0], [0, 0]) == 1.0
-        assert fock.coherent_amplitude([0.0, 1.0], [2, 0]) == 0.0
+        assert amplitude([0.0, 0.0], (0, 0)) == 1.0
+        assert amplitude([0.0, 1.0], (2, 0)) == 0.0
 
     def test_three_ones(self):
-        value = fock.coherent_amplitude([1.0, 1.0, 1.0], [1, 1, 1])
+        value = amplitude([1.0, 1.0, 1.0], (1, 1, 1))
         assert value == pytest.approx(math.exp(-1.5), abs=1e-15)
+        assert value == pytest.approx(direct_amplitude([1.0, 1.0, 1.0], (1, 1, 1)), abs=1e-15)
 
     def test_matches_direct_product_formula(self):
         alphas = [0.7 + 0.2j, -0.4j, 1.1]
-        occ = [2, 3, 1]
-        direct = math.exp(-sum(abs(a) ** 2 for a in alphas) / 2)
-        direct = direct * np.prod(
-            [a**n / math.sqrt(math.factorial(n)) for a, n in zip(alphas, occ)]
-        )
-        assert fock.coherent_amplitude(alphas, occ) == pytest.approx(direct, abs=1e-14)
+        occ = (2, 3, 1)
+        assert amplitude(alphas, occ) == pytest.approx(direct_amplitude(alphas, occ), abs=1e-14)
 
     def test_large_occupation_stays_finite(self):
-        value = fock.coherent_amplitude([2.0], [100])
+        value = amplitude([2.0], (100,))
         assert math.isfinite(abs(value))
         direct = math.exp(-2.0 + 100 * math.log(2.0) - 0.5 * math.lgamma(101))
         assert abs(value) == pytest.approx(direct, rel=1e-12)
 
-    def test_vectorized_matches_scalar(self):
+    def test_every_ket_matches_direct_product(self):
         alphas = [0.5 - 0.3j, 0.8j, -0.6]
         for photons in range(5):
             basis = fock.enumerate_subspace(3, photons)
             vec = fock.subspace_amplitudes(alphas, basis)
             for i, occ in enumerate(map(tuple, basis.occupation_array.tolist())):
-                assert vec[i] == pytest.approx(
-                    fock.coherent_amplitude(alphas, occ), abs=1e-14
-                )
+                assert vec[i] == pytest.approx(direct_amplitude(alphas, occ), abs=1e-14)
 
     def test_block_weights_are_poissonian(self):
         alphas = [0.9, -0.5j]
@@ -173,7 +182,7 @@ class TestCoherentAmplitude:
 
     def test_mode_count_mismatch(self):
         with pytest.raises(ValueError):
-            fock.coherent_amplitude([1.0], [0, 1])
+            fock.subspace_amplitudes([1.0], fock.enumerate_subspace(2, 1))
 
 
 def characteristic_polynomial_roots(m):

@@ -1,4 +1,6 @@
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,10 +248,18 @@ class TestPhaseAverage:
         def refuse(*_args):
             raise AssertionError("phase_average read the direct sum's amplitudes")
 
-        for module, name in ((fock, "subspace_amplitudes"), (phase_rand, "subspace_component"),
-                             (phase_rand, "poisson_weights")):
+        for module, name in ((fock, "subspace_amplitudes"), (fock, "log_factorials"),
+                             (phase_rand, "subspace_component"), (phase_rand, "poisson_weights")):
             monkeypatch.setattr(module, name, refuse)
         assert np.array_equal(oracle.phase_average(state, 4), expected)
+
+    def test_large_occupations_give_the_poisson_diagonal(self):
+        average = oracle.phase_average(CoherentStateVector((cmath.rect(3.0, 0.4),)), 60)
+        diagonal = np.diag(average)
+        for n, entry in enumerate(diagonal):
+            expected = math.exp(-9.0 + n * math.log(9.0) - math.lgamma(n + 1))
+            assert entry.real == pytest.approx(expected, rel=1e-12)
+        assert np.max(np.abs(average - np.diag(diagonal))) < 1e-14
 
     def test_vacuum_at_zero_truncation(self):
         average = oracle.phase_average(CoherentStateVector((0.5, 1.0)), 0)
@@ -259,6 +269,22 @@ class TestPhaseAverage:
     def test_negative_truncation_refused(self):
         with pytest.raises(ValueError, match="negative"):
             oracle.phase_average(CoherentStateVector((0.5,)), -1)
+
+    def test_dimension_cap_refused_before_allocating(self):
+        # 4 modes at N <= 30 span 46,376 kets: a 34 GB average
+        tracemalloc.start()
+        try:
+            with pytest.raises(fock.CapacityError, match="46376"):
+                oracle.phase_average(CoherentStateVector((0.1, 0.1, 0.1, 0.1)), 30)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_underflowing_vacuum_amplitude_refused(self):
+        # e^(-|a|^2/2) of |a| = 60 is 0.0, which would zero every amplitude
+        with pytest.raises(fock.CapacityError, match="underflows"):
+            oracle.phase_average(CoherentStateVector((60.0,)), 2)
 
 
 class TestVerifyAppendixB:

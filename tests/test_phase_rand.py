@@ -41,6 +41,11 @@ class TestCoherentStateVector:
         with pytest.raises(ValueError):
             CoherentStateVector(())
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, complex(math.nan, 0)))
+    def test_refuses_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="not all finite"):
+            CoherentStateVector((bad, 0.5))
+
 
 class TestTruncation:
     def test_zero_amplitude_single_block(self):
