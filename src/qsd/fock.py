@@ -22,6 +22,9 @@ DEFAULT_DIMENSION_CAP = 2_000_000
 #: Eigenvalues of a nominally PSD matrix may drift this far below zero.
 PSD_TOLERANCE = 1e-10
 
+#: Occupations are stored in the first of these that holds N exactly.
+OCCUPATION_TYPES = (np.int16, np.int32, np.int64)
+
 #: Hermiticity / real-trace tolerance for dense matrices.
 HERMITICITY_TOLERANCE = 1e-12
 
@@ -59,7 +62,8 @@ class SubspaceBasis:
     tuples, e.g. (N,0,...,0) first and (0,...,0,N) last, so that matrices
     built by different modules index identically.  The dimension is the
     stars-and-bars count C(N+M-1, M-1).  The basis is one read-only
-    dimension x modes int64 array; positions come from a ranking formula.
+    dimension x modes array of the narrowest signed integer type that holds
+    N exactly (int16 up to N = 32,767); positions come from a ranking formula.
     """
 
     def __init__(self, modes: int, photons: int):
@@ -77,6 +81,7 @@ class SubspaceBasis:
             moved = np.arange(len(parent)) - np.searchsorted(parent, parent)
             occ = np.column_stack([occ[parent], moved])
             occ[:, -2] -= moved
+        occ = occ.astype(next(t for t in OCCUPATION_TYPES if photons <= np.iinfo(t).max))
         occ.flags.writeable = False
         self.occupation_array = occ
         self.dimension = len(occ)

@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -307,6 +310,22 @@ def test_no_module_reads_the_environment():
         or (isinstance(node, ast.alias) and node.name in ENVIRONMENT_READS)
     ]
     assert found == []
+
+
+def test_verify_and_curve_never_load_numpy_random():
+    # numpy.random costs a fresh interpreter about 5 MB; the seeded verify
+    # inputs come from the stdlib instead
+    child = (
+        "import sys\n"
+        "from qsd import cli\n"
+        f"codes = [cli.main(['verify', 'all']), cli.main({SERIES_CURVE!r})]\n"
+        "print(codes, 'numpy.random' in sys.modules, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qsd.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.stderr == "[0, 0] False\n"
 
 
 class TestCurveRequest:

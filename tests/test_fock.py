@@ -91,7 +91,7 @@ class TestEnumerateSubspace:
             fock.enumerate_subspace(3, 2).index(occ)
 
     def test_enumeration_memory(self):
-        # four modes, N = 0..30: 46,376 occupation rows, 1.5 MB of int64
+        # four modes, N = 0..30: 46,376 occupation rows, 0.37 MB of int16
         fock._cached_basis.cache_clear()
         tracemalloc.start()
         try:
@@ -100,13 +100,43 @@ class TestEnumerateSubspace:
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3e6
+        assert peak < 1e6
 
     def test_cached_arrays_are_read_only(self):
         with pytest.raises(ValueError):
             fock.enumerate_subspace(3, 4).occupation_array[0, 0] = 1
         with pytest.raises(ValueError):
             fock.log_factorials(10)[3] = 0.0
+
+
+class TestOccupationType:
+    """Occupations take the narrowest signed type that holds N exactly."""
+
+    @pytest.mark.parametrize(
+        "modes,photons,dtype",
+        [
+            (4, 30, np.int16), (2, 32_767, np.int16), (2, 32_768, np.int32),
+            (1, 2**31 - 1, np.int32), (1, 2**31, np.int64),
+        ],
+    )
+    def test_narrowest_exact_type(self, modes, photons, dtype):
+        occ = fock.enumerate_subspace(modes, photons).occupation_array
+        assert occ.dtype == dtype
+        with pytest.raises(ValueError):
+            occ[0, 0] = 1
+
+    def test_past_int16_rows_and_ranks_stay_exact(self):
+        # an int16 array would read row 0 as (-25536, 0)
+        basis = fock.enumerate_subspace(2, 40_000)
+        occ = basis.occupation_array
+        assert occ[0].tolist() == [40_000, 0] and occ[-1].tolist() == [0, 40_000]
+        assert basis.ranks(occ[[0, -1]]).tolist() == [0, 40_000]
+        assert basis.index((0, 40_000)) == 40_000
+
+    def test_past_int32_holds_the_photon_number(self):
+        basis = fock.enumerate_subspace(1, 3 * 10**9)
+        assert basis.occupation_array.tolist() == [[3_000_000_000]]
+        assert basis.index((3 * 10**9,)) == 0
 
 
 def recursive_compositions(total, parts):
