@@ -42,7 +42,6 @@ from .phase_rand import (
     mixed_state_matrix,
 )
 from .symmetric import (
-    GramMatrix,
     SymmetricFamilySpec,
     circulant_eigenvalues,
     gram_matrix,

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .phase_rand import DEFAULT_N_CAP, DEFAULT_TAIL_TOL, poisson_series, poisson_series_grid
-from .symmetric import FAMILIES, SymmetricFamilySpec
+from .symmetric import FAMILIES
 
 COHERENT_FAMILIES = tuple(FAMILIES)
 
@@ -41,10 +41,9 @@ class InvalidOverlapError(ValueError):
 
 
 def _family_tag(family) -> str:
-    tag = family.family_tag if isinstance(family, SymmetricFamilySpec) else family
-    if tag not in COHERENT_FAMILIES:
-        raise ValueError(f"unsupported family {tag!r}")
-    return tag
+    if family not in COHERENT_FAMILIES:
+        raise ValueError(f"unsupported family {family!r}")
+    return family
 
 
 def _intensity(alpha_abs: float) -> float:
@@ -449,7 +448,7 @@ def delta_pcorr(
     )
 
 
-def delta_pcorr_max(family, tail_tol: float = DEFAULT_TAIL_TOL) -> tuple[float, float]:
+def delta_pcorr_max(family) -> tuple[float, float]:
     """Grid-scan maximum of delta_pcorr on [0, 3] at step 0.005.
 
     The curves are smooth and unimodal at plot resolution, so a fixed-step
@@ -457,7 +456,7 @@ def delta_pcorr_max(family, tail_tol: float = DEFAULT_TAIL_TOL) -> tuple[float, 
     of a tie, or (0, 0) when no gap is positive.
     """
     alphas = np.arange(601) * 0.005
-    gaps = delta_pcorr(family, alphas, tail_tol=tail_tol)
+    gaps = delta_pcorr(family, alphas)
     i = int(np.argmax(gaps))
     if not gaps[i] > 0.0:
         return 0.0, 0.0
@@ -629,7 +628,7 @@ def _invert_monotone(fn, target: float, lo: float, hi: float, iterations: int = 
     return 0.5 * (lo + hi)
 
 
-def phase_encoded_ot_crossover(tail_tol: float = DEFAULT_TAIL_TOL) -> CrossoverReport:
+def phase_encoded_ot_crossover() -> CrossoverReport:
     """Compare mixed and pure cheating probabilities at equal p_1bit.
 
     Both (p_1bit, b_ot) curves are parametric in |alpha| and monotone in it.
@@ -647,24 +646,24 @@ def phase_encoded_ot_crossover(tail_tol: float = DEFAULT_TAIL_TOL) -> CrossoverR
     # single |alpha| is evaluated once
     @lru_cache(maxsize=None)
     def pure_p_of(a: float) -> float:
-        return family_p1bit("phase_encoded", "pure", a, tail_tol)
+        return family_p1bit("phase_encoded", "pure", a)
 
     @lru_cache(maxsize=None)
     def mixed_p_of(a: float) -> float:
-        return family_p1bit("phase_encoded", "mixed", a, tail_tol)
+        return family_p1bit("phase_encoded", "mixed", a)
 
     def exact_advantage(v: float) -> float:
         a_pure = _invert_monotone(pure_p_of, v, 0.0, alpha_max)
         a_mixed = _invert_monotone(mixed_p_of, v, 0.0, alpha_max)
-        return family_bot("phase_encoded", "pure", a_pure, tail_tol) - family_bot(
-            "phase_encoded", "mixed", a_mixed, tail_tol
+        return family_bot("phase_encoded", "pure", a_pure) - family_bot(
+            "phase_encoded", "mixed", a_mixed
         )
 
     alphas = np.linspace(0.0, alpha_max, grid_points)
-    pure_p = family_p1bit("phase_encoded", "pure", alphas, tail_tol)
-    pure_b = family_bot("phase_encoded", "pure", alphas, tail_tol)
-    mixed_p = family_p1bit("phase_encoded", "mixed", alphas, tail_tol)
-    mixed_b = family_bot("phase_encoded", "mixed", alphas, tail_tol)
+    pure_p = family_p1bit("phase_encoded", "pure", alphas)
+    pure_b = family_bot("phase_encoded", "pure", alphas)
+    mixed_p = family_p1bit("phase_encoded", "mixed", alphas)
+    mixed_b = family_bot("phase_encoded", "mixed", alphas)
 
     lo = max(pure_p[0], mixed_p[0])
     hi = min(pure_p[-1], mixed_p[-1])

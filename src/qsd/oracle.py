@@ -321,8 +321,6 @@ class AppendixBReport:
     measurement hands it whole to the likelier outcome.
     """
 
-    alpha_abs: float
-    p0: float
     helstrom_success: float
     srm_success: float
     off_vacuum_distance: float
@@ -371,8 +369,6 @@ def verify_appendix_b(
         float(srm_povm.elements[1][vac, vac].real),
     )
     return AppendixBReport(
-        alpha_abs=alpha_abs,
-        p0=p0,
         helstrom_success=hel_success,
         srm_success=srm_success,
         off_vacuum_distance=max(distances),

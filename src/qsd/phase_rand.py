@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fock, symmetric
 from .fock import CapacityError
-from .symmetric import GramMatrix, SymmetricFamilySpec
+from .symmetric import SymmetricFamilySpec
 
 #: Default Poisson tail mass at which the photon-number series is truncated.
 DEFAULT_TAIL_TOL = 1e-12
@@ -172,10 +172,16 @@ def truncation_photon_number(mean: float, tail_tol: float) -> int:
 class SubspaceOverlapSeries:
     """Per-photon-number weights and Gram matrices of a coherent family."""
 
-    n_max: int
     weights: np.ndarray
-    per_n_gram: tuple[GramMatrix, ...]
-    tail_mass: float
+    per_n_gram: tuple[np.ndarray, ...]
+
+    @property
+    def n_max(self) -> int:
+        return len(self.weights) - 1
+
+    @property
+    def tail_mass(self) -> float:
+        return float(1.0 - self.weights.sum())
 
 
 def decompose(
@@ -188,12 +194,8 @@ def decompose(
     retained subspace.
     """
     weights = np.array(poisson_series(spec.mean_photons, tail_tol))
-    return SubspaceOverlapSeries(
-        n_max=len(weights) - 1,
-        weights=weights,
-        per_n_gram=tuple(symmetric.subspace_gram(spec, n) for n in range(len(weights))),
-        tail_mass=float(1.0 - weights.sum()),
-    )
+    grams = tuple(symmetric.subspace_gram(spec, n) for n in range(len(weights)))
+    return SubspaceOverlapSeries(weights, grams)
 
 
 def subspace_state_blocks(

@@ -3,13 +3,14 @@
 A family {U^K |psi_0>} generated by a unitary with U^L = 1 has a circulant
 Gram matrix, which the discrete Fourier transform diagonalises.  This module
 builds the per-photon-number pure states of the coherent families, computes
-Gram matrices numerically from state vectors, and evaluates the square-root
-measurement success probability from Gram eigenvalues.
+Gram matrices numerically from state vectors as plain arrays, and evaluates
+the square-root measurement success probability from the DFT eigenvalues of
+a circulant Gram matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -17,7 +18,8 @@ import numpy as np
 
 from . import fock
 
-#: Tolerance for recognising the circulant pattern in a Gram matrix.
+#: Largest distance of a Gram entry from the circulant pattern of its first
+#: row that `circulant_eigenvalues` accepts.
 CIRCULANT_TOLERANCE = 1e-12
 
 #: States handed to gram_matrix must have unit norm within this.
@@ -143,21 +145,6 @@ class SymmetricFamilySpec:
         return [np.array(_I_POWERS)[list(exps)] / root for exps in self.phase_exponents()]
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Pairwise-overlap matrix of a normalized state family.
-
-    When `circulant` is set, entries[i][k] == generator_row[(k - i) mod L]
-    exactly: the matrix was rebuilt from its first row after the cyclic
-    pattern was detected within CIRCULANT_TOLERANCE.
-    """
-
-    size: int
-    entries: np.ndarray
-    circulant: bool
-    generator_row: np.ndarray | None = field(default=None)
-
-
 def subspace_states(spec: SymmetricFamilySpec, photons: int) -> list[np.ndarray]:
     """Normalized N-photon components of a coherent family, in basis order.
 
@@ -199,35 +186,25 @@ def _subspace_states(
     return tuple(states)
 
 
-def gram_matrix(states: Sequence[np.ndarray]) -> GramMatrix:
-    """Pairwise inner products <psi_i|psi_j>, with circulant detection."""
+def gram_matrix(states: Sequence[np.ndarray]) -> np.ndarray:
+    """Pairwise inner products G_ij = <psi_i|psi_j>, as a Hermitian array."""
     size = len(states)
     dim = states[0].shape[0]
     for s in states:
         if s.shape != (dim,):
             raise ValueError("states must share one dimension")
-        if abs(np.linalg.norm(s) - 1.0) > NORM_TOLERANCE:
+        if not abs(np.linalg.norm(s) - 1.0) <= NORM_TOLERANCE:  # also rejects nan, inf
             raise ValueError(f"state norm {np.linalg.norm(s):.12f} is not 1")
-    entries = np.eye(size, dtype=np.complex128)
+    gram = np.eye(size, dtype=np.complex128)
     for i in range(size):
         for j in range(i + 1, size):
             g = np.vdot(states[i], states[j])
-            entries[i, j] = g
-            entries[j, i] = g.conjugate()
-    row = entries[0].copy()
-    circulant = all(
-        abs(entries[i, k] - row[(k - i) % size]) <= CIRCULANT_TOLERANCE
-        for i in range(size)
-        for k in range(size)
-    )
-    if circulant:
-        # rebuild so the cyclic pattern holds exactly
-        entries = np.array([[row[(k - i) % size] for k in range(size)] for i in range(size)])
-        return GramMatrix(size, entries, True, row)
-    return GramMatrix(size, entries, False, None)
+            gram[i, j] = g
+            gram[j, i] = g.conjugate()
+    return gram
 
 
-def subspace_gram(spec: SymmetricFamilySpec, photons: int) -> GramMatrix:
+def subspace_gram(spec: SymmetricFamilySpec, photons: int) -> np.ndarray:
     """`gram_matrix(subspace_states(spec, photons))`, built once per
     (modes, phase exponents, N) and shared read-only, like the states."""
     return _subspace_gram(*_block_key(spec, photons))
@@ -236,26 +213,31 @@ def subspace_gram(spec: SymmetricFamilySpec, photons: int) -> GramMatrix:
 @lru_cache(maxsize=None)
 def _subspace_gram(
     modes: int, exponents: tuple[tuple[int, ...], ...], photons: int
-) -> GramMatrix:
+) -> np.ndarray:
     gram = gram_matrix(_subspace_states(modes, exponents, photons))
-    gram.entries.flags.writeable = False
-    if gram.generator_row is not None:
-        gram.generator_row.flags.writeable = False
+    gram.flags.writeable = False
     return gram
 
 
-def circulant_eigenvalues(g: GramMatrix) -> np.ndarray:
+def circulant_eigenvalues(gram: np.ndarray) -> np.ndarray:
     """Eigenvalues lambda_k = sum_l c_l omega^{kl} of a circulant Gram matrix.
 
-    omega = exp(2 pi i / L); eigenvalues are returned in DFT index order
-    k = 0..L-1.  A Hermitian PSD circulant must produce real non-negative
-    values; residual imaginary parts below EIGENVALUE_TOLERANCE are discarded
-    and negatives within it of zero are clipped.
+    c = gram[0] and omega = exp(2 pi i / L); eigenvalues are returned in DFT
+    index order k = 0..L-1.  Raises ValueError unless `gram` is square and
+    every G_ik lies within CIRCULANT_TOLERANCE of c[(k - i) mod L].  A
+    Hermitian PSD circulant must produce real non-negative values; residual
+    imaginary parts below EIGENVALUE_TOLERANCE are discarded and negatives
+    within it of zero are clipped.
     """
-    if not g.circulant:
+    gram = np.asarray(gram)
+    size = len(gram)
+    if gram.shape != (size, size):
+        raise ValueError(f"Gram matrix of shape {gram.shape} is not square")
+    row = gram[0]
+    index = np.arange(size)
+    # row[k - i] wraps negative differences to (k - i) mod L; nan fails the test
+    if not np.max(np.abs(gram - row[index - index[:, None]])) <= CIRCULANT_TOLERANCE:
         raise ValueError("Gram matrix is not circulant")
-    size = g.size
-    row = g.generator_row
     omega = np.exp(2j * np.pi / size)
     lam = np.array(
         [sum(row[l] * omega ** (k * l) for l in range(size)) for k in range(size)]
@@ -275,7 +257,7 @@ def circulant_eigenvalues(g: GramMatrix) -> np.ndarray:
     return values
 
 
-def srm_success_from_gram(g: GramMatrix) -> float:
+def srm_success_from_gram(gram: np.ndarray) -> float:
     """Square-root-measurement success for L equiprobable symmetric pure states.
 
     The SRM succeeds with (1/L) sum_i ((G^1/2)_ii)^2.  For a symmetric family
@@ -284,6 +266,6 @@ def srm_success_from_gram(g: GramMatrix) -> float:
     al. 1997).  Any other G raises ValueError from `circulant_eigenvalues`:
     there the eigenvalue formula is not the SRM success.
     """
-    lam = circulant_eigenvalues(g)
+    lam = circulant_eigenvalues(gram)
     total = float(np.sqrt(lam).sum())
-    return (total / g.size) ** 2
+    return (total / len(gram)) ** 2

@@ -19,27 +19,26 @@ from . import discrimination as disc
 from . import fock, optics, oracle, phase_rand, symmetric
 from .symmetric import SymmetricFamilySpec
 
-SUITE_NAMES = ("fock", "gram", "families", "appendix_a", "appendix_b", "circuit")
-
-
 #: Tolerance of a yes/no check, whose error is 0.0 (holds) or 1.0 (fails).
 BOOLEAN_TOL = 1.0
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One check: passed iff error < tol; `tol` is None only for rows built
-    by hand outside the suites."""
+    """One check: an error measured against the tolerance it must stay below."""
 
     check_id: str
-    passed: bool
     error: float
-    tol: float | None = None
+    tol: float
 
     @property
-    def margin(self) -> float | None:
+    def passed(self) -> bool:
+        return self.error < self.tol  # a nan error fails
+
+    @property
+    def margin(self) -> float:
         """Share of the tolerance the error uses: a check fails at 1 or above."""
-        return None if self.tol is None else self.error / self.tol
+        return self.error / self.tol
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -47,7 +46,7 @@ class CheckResult:
 
 
 def _check(check_id: str, error: float, tol: float) -> CheckResult:
-    return CheckResult(check_id, bool(error < tol), float(error), tol)
+    return CheckResult(check_id, float(error), tol)
 
 
 def _holds(check_id: str, holds: bool) -> CheckResult:
@@ -146,21 +145,24 @@ def suite_gram() -> list[CheckResult]:
         spec = SymmetricFamilySpec(tag, 1.0)
         for n in range(0, 21):
             gram = symmetric.subspace_gram(spec, n)
-            if not gram.circulant:
+            try:
+                dft = np.sort(symmetric.circulant_eigenvalues(gram))
+            except ValueError:  # not circulant (or not PSD): the DFT route refuses it
                 return [_holds(f"gram.circulant_structure.{tag}", False)]
-            dft = np.sort(symmetric.circulant_eigenvalues(gram))
-            dense = np.sort(fock.hermitian_eig(gram.entries).eigenvalues)
+            dense = np.sort(fock.hermitian_eig(gram).eigenvalues)
             worst = max(worst, float(np.max(np.abs(dft - dense))))
     results.append(_check("gram.dft_vs_dense_eigenvalues", worst, 1e-10))
 
-    # computed per-subspace overlaps match their closed forms
+    # every computed overlap matches the closed-form circulant G_ik = c[k - i]
     worst = 0.0
     for tag in disc.COHERENT_FAMILIES:
         spec = SymmetricFamilySpec(tag, 0.9)
         for n in range(0, 31):
             gram = symmetric.subspace_gram(spec, n)
             row = disc.subspace_overlaps(tag, n)
-            worst = max(worst, float(np.max(np.abs(gram.entries[0] - row))))
+            index = np.arange(len(row))
+            exact = row[index - index[:, None]]
+            worst = max(worst, float(np.max(np.abs(gram - exact))))
     results.append(_check("gram.closed_form_overlaps", worst, 1e-12))
 
     # sum over a subspace of 1/prod(n_m!) equals M^N / N!
@@ -472,22 +474,24 @@ def suite_circuit() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+#: The suites by name, in the order `verify all` runs them.
+SUITES = {
+    "fock": suite_fock,
+    "gram": suite_gram,
+    "families": suite_families,
+    "appendix_a": suite_appendix_a,
+    "appendix_b": suite_appendix_b,
+    "circuit": suite_circuit,
+}
+
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suite(name: str) -> list[CheckResult]:
     if name == "all":
-        out: list[CheckResult] = []
-        for suite in SUITE_NAMES:
-            out.extend(run_suite(suite))
-        return out
-    if name == "fock":
-        return suite_fock()
-    if name == "gram":
-        return suite_gram()
-    if name == "families":
-        return suite_families()
-    if name == "appendix_a":
-        return suite_appendix_a()
-    if name == "appendix_b":
-        return suite_appendix_b()
-    if name == "circuit":
-        return suite_circuit()
-    raise ValueError(f"unknown suite {name!r}")
+        return [row for suite in SUITE_NAMES for row in run_suite(suite)]
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    # looked up in the module when called, so a suite rebound there (a test
+    # double, or the benchmark's span tracer) is the one that runs
+    return globals()[SUITES[name].__name__]()

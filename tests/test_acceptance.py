@@ -215,9 +215,8 @@ def test_criterion_8_circulant_spectral_check():
         spec = SymmetricFamilySpec(tag, 1.0)
         for photons in range(0, 21):
             gram = symmetric.gram_matrix(symmetric.subspace_states(spec, photons))
-            assert gram.circulant
             dft = np.sort(symmetric.circulant_eigenvalues(gram))
-            dense = np.sort(fock.hermitian_eig(gram.entries).eigenvalues)
+            dense = np.sort(fock.hermitian_eig(gram).eigenvalues)
             worst = max(worst, float(np.max(np.abs(dft - dense))))
     elapsed = time.monotonic() - start
     assert worst < 1e-10

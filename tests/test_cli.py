@@ -428,7 +428,7 @@ class TestVerify:
         monkeypatch.setattr(
             verify,
             "run_suite",
-            lambda name: [verify.CheckResult("forced.fail", False, 1.0)],
+            lambda name: [verify.CheckResult("forced.fail", 1.0, verify.BOOLEAN_TOL)],
         )
         code, out, _err = run(["verify", "gram"], capsys)
         assert code == 1

@@ -297,12 +297,6 @@ class TestFamilyP1bitAndBot:
         with pytest.raises(ValueError):
             disc.family_p1bit("two_mode", "mixed", 1.0)
 
-    def test_accepts_spec_objects(self):
-        spec = SymmetricFamilySpec("three_mode", 0.5)
-        assert disc.family_p1bit(spec, "mixed", 0.5) == disc.family_p1bit(
-            "three_mode", "mixed", 0.5
-        )
-
 
 class TestDeltaAndShapes:
     def test_zero_gap_at_zero(self):

@@ -92,7 +92,7 @@ class TestDecompose:
         assert series.n_max == 0
         assert series.weights[0] == 1.0
         assert series.tail_mass == 0.0
-        assert np.allclose(series.per_n_gram[0].entries, np.ones((4, 4)))
+        assert np.allclose(series.per_n_gram[0], np.ones((4, 4)))
 
     def test_three_mode_weights(self):
         series = phase_rand.decompose(SymmetricFamilySpec("three_mode", 1.0), 1e-12)
@@ -117,7 +117,7 @@ class TestDecompose:
         series = phase_rand.decompose(SymmetricFamilySpec("phase_encoded", 1.1), 1e-12)
         for n, gram in enumerate(series.per_n_gram):
             row = disc.subspace_overlaps("phase_encoded", n)
-            assert np.max(np.abs(gram.entries[0] - row)) < 1e-12
+            assert np.max(np.abs(gram[0] - row)) < 1e-12
 
 
 class TestMixedStateMatrix:

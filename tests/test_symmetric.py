@@ -139,9 +139,7 @@ class TestSubspaceMemo:
             states[1] *= 2.0
         gram = symmetric.subspace_gram(SymmetricFamilySpec("four_mode", 0.7), 3)
         with pytest.raises(ValueError):
-            gram.entries[0, 1] = 0.0
-        with pytest.raises(ValueError):
-            gram.generator_row[1] = 0.0
+            gram[0, 1] = 0.0
 
     def test_list_is_the_callers_own(self):
         spec = SymmetricFamilySpec("two_mode", 0.5)
@@ -166,8 +164,8 @@ class TestSubspaceMemo:
                 assert len(shared) == len(fresh) == spec.n_states
                 for a, b in zip(shared, fresh):
                     assert np.array_equal(a, b)
-                gram = symmetric.subspace_gram(spec, photons).entries
-                assert np.array_equal(gram, symmetric.gram_matrix(fresh).entries)
+                gram = symmetric.subspace_gram(spec, photons)
+                assert np.array_equal(gram, symmetric.gram_matrix(fresh))
 
     @pytest.mark.parametrize("tag", COHERENT_TAGS)
     def test_states_do_not_depend_on_alpha(self, tag):
@@ -190,8 +188,7 @@ class TestGramMatrix:
     def test_identical_states_all_ones(self):
         v = np.array([1.0, 0.0], dtype=complex)
         gram = symmetric.gram_matrix([v, v, v])
-        assert np.allclose(gram.entries, np.ones((3, 3)))
-        assert gram.circulant
+        assert np.allclose(gram, np.ones((3, 3)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -201,30 +198,41 @@ class TestGramMatrix:
         with pytest.raises(ValueError):
             symmetric.gram_matrix([np.array([2.0, 0.0]), np.array([0.0, 1.0])])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nan_and_inf_states(self, bad):
+        with pytest.raises(ValueError, match="norm"):
+            symmetric.gram_matrix([np.array([bad, 0j]), np.array([1, 0j])])
+
     def test_circulant_pattern_exact(self):
+        # the computed overlaps, not a circulant rebuilt from the first row:
+        # the pattern holds to rounding, and each entry is its own vdot
         spec = SymmetricFamilySpec("phase_encoded", 0.9)
-        gram = symmetric.gram_matrix(symmetric.subspace_states(spec, 3))
-        assert gram.circulant
-        row = gram.generator_row
+        states = symmetric.subspace_states(spec, 3)
+        gram = symmetric.gram_matrix(states)
         for i in range(4):
             for k in range(4):
-                assert gram.entries[i, k] == row[(k - i) % 4]
+                if i < k:
+                    assert gram[i, k] == np.vdot(states[i], states[k])
+                assert abs(gram[i, k] - gram[0, (k - i) % 4]) <= symmetric.CIRCULANT_TOLERANCE
 
     def test_non_circulant_detected(self):
+        # gram_matrix returns any family's overlaps; circulant_eigenvalues
+        # is where a non-circulant one is caught
         rng = np.random.default_rng(0)
         states = []
         for _ in range(3):
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             states.append(v / np.linalg.norm(v))
         gram = symmetric.gram_matrix(states)
-        assert not gram.circulant
-        assert gram.generator_row is None
+        assert gram[0, 1] == np.vdot(states[0], states[1])
+        with pytest.raises(ValueError, match="not circulant"):
+            symmetric.circulant_eigenvalues(gram)
 
     def test_hermitian_unit_diagonal(self):
         spec = SymmetricFamilySpec("three_mode", 1.0)
         gram = symmetric.gram_matrix(symmetric.subspace_states(spec, 4))
-        assert np.linalg.norm(gram.entries - gram.entries.conj().T) < 1e-14
-        assert np.allclose(np.diag(gram.entries), 1.0)
+        assert np.linalg.norm(gram - gram.conj().T) < 1e-14
+        assert np.allclose(np.diag(gram), 1.0)
 
 
 class TestCirculantEigenvalues:
@@ -238,8 +246,8 @@ class TestCirculantEigenvalues:
         spec = SymmetricFamilySpec("phase_encoded", 0.9)
         for photons in (3, 4, 5):
             gram = symmetric.gram_matrix(symmetric.subspace_states(spec, photons))
-            f = gram.generator_row[1]
-            g = gram.generator_row[2].real
+            f = gram[0, 1]
+            g = gram[0, 2].real
             expected = np.array(
                 [
                     1.0 + g + 2.0 * f.real,
@@ -256,7 +264,7 @@ class TestCirculantEigenvalues:
         gram = symmetric.gram_matrix(symmetric.subspace_states(spec, 2))
         lam = np.sort(symmetric.circulant_eigenvalues(gram))[::-1]
         # frozen from the dense eigensolver on the explicit 4x4 matrix
-        expected = np.sort(np.linalg.eigvalsh(gram.entries))[::-1]
+        expected = np.sort(np.linalg.eigvalsh(gram))[::-1]
         assert np.max(np.abs(lam - expected)) < 1e-12
         assert lam[0] == pytest.approx(1.0 + 3.0 / 9.0, abs=1e-12)
         assert np.allclose(lam[1:], 1.0 - 1.0 / 9.0, atol=1e-12)
@@ -271,13 +279,27 @@ class TestCirculantEigenvalues:
         with pytest.raises(ValueError):
             symmetric.circulant_eigenvalues(gram)
 
+    @pytest.mark.parametrize(
+        "gram",
+        [
+            np.eye(3, 2, dtype=complex),
+            np.ones(3, dtype=complex),
+            np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]], dtype=complex),
+            np.array([[1.0, math.nan], [math.nan, 1.0]], dtype=complex),
+        ],
+        ids=["non_square", "one_dimensional", "tridiagonal", "nan"],
+    )
+    def test_refuses_non_square_or_non_circulant(self, gram):
+        with pytest.raises(ValueError, match="not square|not circulant"):
+            symmetric.circulant_eigenvalues(gram)
+
     @pytest.mark.parametrize("tag", COHERENT_TAGS)
-    def test_agrees_with_jacobi_eigensolver(self, tag):
+    def test_agrees_with_dense_eigensolver(self, tag):
         spec = SymmetricFamilySpec(tag, 1.0)
         for photons in range(0, 21):
             gram = symmetric.gram_matrix(symmetric.subspace_states(spec, photons))
             dft = np.sort(symmetric.circulant_eigenvalues(gram))
-            dense = np.sort(fock.hermitian_eig(gram.entries).eigenvalues)
+            dense = np.sort(fock.hermitian_eig(gram).eigenvalues)
             assert np.max(np.abs(dft - dense)) < 1e-10
 
 
@@ -308,7 +330,6 @@ class TestSrmSuccessFromGram:
             v = rng.normal(size=6) + 1j * rng.normal(size=6)
             states.append(v / np.linalg.norm(v))
         gram = symmetric.gram_matrix(states)
-        assert not gram.circulant
         with pytest.raises(ValueError, match="not circulant"):
             symmetric.srm_success_from_gram(gram)
 
@@ -320,15 +341,15 @@ class TestClosedFormOverlaps:
             gram = symmetric.gram_matrix(symmetric.subspace_states(spec, photons))
             f = 3.0**-photons
             g = f if photons % 2 == 0 else -f
-            assert abs(gram.entries[0, 1] - f) < 1e-12
-            assert abs(gram.entries[0, 2] - g) < 1e-12
-            assert abs(gram.entries[0, 3] - f) < 1e-12
+            assert abs(gram[0, 1] - f) < 1e-12
+            assert abs(gram[0, 2] - g) < 1e-12
+            assert abs(gram[0, 3] - f) < 1e-12
 
     def test_four_mode_offdiagonal_zero(self):
         spec = SymmetricFamilySpec("four_mode", 1.2)
         for photons in range(1, 21):
             gram = symmetric.gram_matrix(symmetric.subspace_states(spec, photons))
-            off = gram.entries - np.eye(4)
+            off = gram - np.eye(4)
             assert np.max(np.abs(off)) < 1e-12
 
     def test_phase_encoded_polar_form(self):
@@ -336,8 +357,8 @@ class TestClosedFormOverlaps:
         for photons in range(1, 25):
             gram = symmetric.gram_matrix(symmetric.subspace_states(spec, photons))
             f = 2.0 ** (-photons / 2.0) * np.exp(1j * photons * np.pi / 4.0)
-            assert abs(gram.entries[0, 1] - f) < 1e-12
-            assert abs(gram.entries[0, 2]) < 1e-12
+            assert abs(gram[0, 1] - f) < 1e-12
+            assert abs(gram[0, 2]) < 1e-12
 
     def test_normalization_sum(self):
         # sum over the subspace of 1/prod(n!) equals modes^N / N!
@@ -356,4 +377,4 @@ class TestClosedFormOverlaps:
             for photons in range(0, 15):
                 gram = symmetric.gram_matrix(symmetric.subspace_states(spec, photons))
                 row = disc.subspace_overlaps(tag, photons)
-                assert np.max(np.abs(gram.entries[0] - row)) < 1e-12
+                assert np.max(np.abs(gram[0] - row)) < 1e-12

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qsd import discrimination as disc
-from qsd import fock, oracle, phase_rand, verify
+from qsd import fock, oracle, phase_rand, symmetric, verify
 from qsd.discrimination import CrossoverReport
-from qsd.symmetric import GramMatrix, SymmetricFamilySpec
+from qsd.symmetric import SymmetricFamilySpec
 
 #: The check ids `qsd verify all` prints, in order, as the benchmark expects.
 REFERENCE_IDS = Path(__file__).resolve().parents[1] / "benchmarks/reference/verify_checks.txt"
@@ -27,24 +27,30 @@ def test_all_suites_pass(all_results):
 
 
 def test_report_line_format():
-    line = verify.CheckResult("demo.check", True, 1.5e-11).line()
+    line = verify.CheckResult("demo.check", 1.5e-11, 1e-10).line()
     assert line == "PASS  demo.check  1.500e-11"
-    line = verify.CheckResult("demo.check", False, 2.0).line()
+    line = verify.CheckResult("demo.check", 2.0, 1e-9).line()
     assert line.startswith("FAIL  demo.check")
 
 
 def test_line_does_not_show_tol():
-    assert verify.CheckResult("demo.check", True, 1.5e-11, 1e-10).line() == (
+    assert verify.CheckResult("demo.check", 1.5e-11, 1e-10).line() == (
         "PASS  demo.check  1.500e-11"
     )
-    assert verify.CheckResult("demo.check", False, 2.0, 1e-9).line() == (
+    assert verify.CheckResult("demo.check", 2.0, 1e-9).line() == (
         "FAIL  demo.check  2.000e+00"
     )
 
 
+@pytest.mark.parametrize("error", [1e-10, 2e-10, float("nan")])
+def test_error_at_or_above_tol_fails(error):
+    result = verify.CheckResult("demo.check", error, 1e-10)
+    assert not result.passed and result.line().startswith("FAIL")
+
+
 def test_every_check_records_tol_and_margin(all_results):
     for r in all_results:
-        assert r.tol is not None and r.tol > 0.0, r.check_id
+        assert r.tol > 0.0, r.check_id
         assert r.margin == r.error / r.tol
         assert r.passed == (r.margin < 1.0)
     by_id = {r.check_id: r for r in all_results}
@@ -63,10 +69,6 @@ def test_seeded_suites_repeat_exactly(suite):
     assert [(r.check_id, r.error) for r in first] == [(r.check_id, r.error) for r in second]
 
 
-def test_hand_built_row_has_no_margin():
-    assert verify.CheckResult("demo.check", True, 0.5).margin is None
-
-
 @pytest.mark.parametrize("holds,line,margin", [
     (True, "PASS  demo.flag  0.000e+00", 0.0),
     (False, "FAIL  demo.flag  1.000e+00", 1.0),
@@ -77,11 +79,30 @@ def test_yes_no_checks_use_the_boolean_tol(holds, line, margin):
 
 
 def test_non_circulant_gram_fails_with_a_tol(monkeypatch):
-    broken = GramMatrix(2, np.eye(2, dtype=complex), False, None)
+    # unit diagonal and PSD, but G_10 = 0.5 where the pattern of row 0 puts G_02 = 0
+    broken = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]], dtype=complex)
     monkeypatch.setattr(verify.symmetric, "subspace_gram", lambda spec, n: broken)
     [result] = verify.suite_gram()
     assert result.line() == "FAIL  gram.circulant_structure.two_mode  1.000e+00"
     assert (result.tol, result.margin) == (verify.BOOLEAN_TOL, 1.0)
+
+
+def test_closed_form_overlaps_compares_every_entry(monkeypatch):
+    # moves one overlap off row 0; only the overlaps check reads |alpha| = 0.9
+    # blocks, so the eigenvalue check before it sees the true matrices
+    computed = symmetric.subspace_gram
+
+    def moved(spec, photons):
+        gram = np.array(computed(spec, photons))
+        if spec.amplitude == 0.9:
+            gram[1, 0] += 1e-9
+        return gram
+
+    monkeypatch.setattr(verify.symmetric, "subspace_gram", moved)
+    by_id = {r.check_id: r for r in verify.suite_gram()}
+    assert by_id["gram.dft_vs_dense_eigenvalues"].passed
+    overlaps = by_id["gram.closed_form_overlaps"]
+    assert not overlaps.passed and overlaps.error == pytest.approx(1e-9, rel=1e-3)
 
 
 def test_missing_crossover_fails_with_a_tol(monkeypatch):
@@ -131,6 +152,15 @@ def test_block_purity_fails_on_a_wrong_state(monkeypatch, target, fault):
 def test_unknown_suite():
     with pytest.raises(ValueError):
         verify.run_suite("appendix_z")
+
+
+def test_run_suite_calls_the_suite_bound_in_the_module(monkeypatch):
+    # a wrapper installed on the module, as the benchmark's span tracer does,
+    # is what run_suite calls, for one suite and within "all"
+    row = verify.CheckResult("circuit.stub", 0.0, 1.0)
+    monkeypatch.setattr(verify, "suite_circuit", lambda: [row])
+    assert verify.run_suite("circuit") == [row]
+    assert verify.run_suite("all")[-1] == row
 
 
 def test_full_suite_matches_reference_ids(all_results):
