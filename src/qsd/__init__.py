@@ -6,7 +6,6 @@ truncated-Fock-space oracle and simulated linear-optical measurement circuits.
 """
 
 from .discrimination import (
-    CrossoverReport,
     delta_pcorr,
     delta_pcorr_max,
     family_bot,
@@ -27,8 +26,6 @@ from .discrimination import (
 from .fock import (
     CapacityError,
     NotPositiveSemidefiniteError,
-    SpectralDecomposition,
-    SubspaceBasis,
     enumerate_subspace,
     hermitian_eig,
     matrix_function,

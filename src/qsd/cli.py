@@ -204,9 +204,10 @@ def cmd_circuit(args: argparse.Namespace, out: TextIO) -> int:
             raise UsageError(f"{args.preset} needs {circuit.modes} amplitudes")
     else:
         spec = SymmetricFamilySpec(family, args.alpha)
-        if args.state not in spec.labels:
-            raise UsageError(f"state {args.state!r} not in {spec.labels}")
-        amps = list(spec.amplitude_vectors()[spec.labels.index(args.state)])
+        labels = spec.family.labels
+        if args.state not in labels:
+            raise UsageError(f"state {args.state!r} not in {labels}")
+        amps = list(spec.amplitude_vectors()[labels.index(args.state)])
     stats = optics.click_statistics(circuit, amps)
     for name, p in stats.click_probability:
         label = circuit.identify.get(name, "?")

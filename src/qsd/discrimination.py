@@ -11,8 +11,8 @@ once, so radicands that vanish identically do so to the last bit.
 from __future__ import annotations
 
 import math
+import operator
 import sys
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from types import SimpleNamespace
 
@@ -543,6 +543,7 @@ def subspace_overlaps(family, photons: int) -> np.ndarray:
     (1, F_N, G_N, conj F_N).
     """
     family = FAMILIES[_family_tag(family)]
+    photons = operator.index(photons)  # exact Python powers; refuses 2.5
     if photons < 0:
         raise ValueError(f"negative photon number {photons}")
     scale = family.modes**photons
@@ -597,21 +598,6 @@ def family_bot(family, variant: str, alpha_abs, tail_tol: float = DEFAULT_TAIL_T
 # phase-encoded mixed-vs-pure crossover
 
 
-@dataclass(frozen=True)
-class CrossoverReport:
-    """Where phase randomization lowers the cheating probability.
-
-    Intervals are in the honest-success variable p_1bit; within each,
-    b_ot(mixed) < b_ot(pure) at equal p_1bit.
-    """
-
-    intervals: tuple[tuple[float, float], ...]
-
-    @property
-    def lower_bound(self) -> float | None:
-        return self.intervals[0][0] if self.intervals else None
-
-
 def _invert_monotone(fn, target: float, lo: float, hi: float, iterations: int = 80) -> float:
     """Bisection inverse of a non-decreasing function on [lo, hi].
 
@@ -628,8 +614,11 @@ def _invert_monotone(fn, target: float, lo: float, hi: float, iterations: int = 
     return 0.5 * (lo + hi)
 
 
-def phase_encoded_ot_crossover() -> CrossoverReport:
-    """Compare mixed and pure cheating probabilities at equal p_1bit.
+def phase_encoded_ot_crossover() -> tuple[tuple[float, float], ...]:
+    """Where phase randomization lowers the cheating probability.
+
+    Returns the intervals of the honest-success variable p_1bit within
+    which b_ot(mixed) < b_ot(pure) at equal p_1bit, in increasing order.
 
     Both (p_1bit, b_ot) curves are parametric in |alpha| and monotone in it.
     A coarse interpolated scan locates candidate p_1bit intervals where the
@@ -702,4 +691,4 @@ def phase_encoded_ot_crossover() -> CrossoverReport:
                 40,
             )
         intervals.append((lower, upper))
-    return CrossoverReport(tuple(intervals))
+    return tuple(intervals)

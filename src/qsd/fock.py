@@ -10,7 +10,6 @@ results are safe to share across threads and to cache.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -55,75 +54,20 @@ def log_factorials(n_max: int) -> np.ndarray:
 # subspace enumeration
 
 
-class SubspaceBasis:
-    """Ordered number basis of the N-photon sector of M modes.
-
-    The canonical order is lexicographically descending on the occupation
-    tuples, e.g. (N,0,...,0) first and (0,...,0,N) last, so that matrices
-    built by different modules index identically.  The dimension is the
-    stars-and-bars count C(N+M-1, M-1).  The basis is one read-only
-    dimension x modes array of the narrowest signed integer type that holds
-    N exactly (int16 up to N = 32,767); positions come from a ranking formula.
-    """
-
-    def __init__(self, modes: int, photons: int):
-        if modes < 1:
-            raise ValueError(f"need at least one mode, got {modes}")
-        if photons < 0:
-            raise ValueError(f"negative photon number {photons}")
-        self.modes = modes
-        self.photons = photons
-        # add one mode at a time: splitting each row's last entry L into
-        # (L - j, j), j = 0..L, keeps the rows lex-descending
-        occ = np.full((1, 1), photons, dtype=np.int64)
-        for _ in range(modes - 1):
-            parent = np.repeat(np.arange(len(occ)), occ[:, -1] + 1)
-            moved = np.arange(len(parent)) - np.searchsorted(parent, parent)
-            occ = np.column_stack([occ[parent], moved])
-            occ[:, -2] -= moved
-        occ = occ.astype(next(t for t in OCCUPATION_TYPES if photons <= np.iinfo(t).max))
-        occ.flags.writeable = False
-        self.occupation_array = occ
-        self.dimension = len(occ)
-
-    def ranks(self, occupations: np.ndarray) -> np.ndarray:
-        """Positions of rows of basis occupations: an occupation whose last k
-        modes hold S_k photons follows sum_{k=1}^{M-1} C(S_k + k - 1, k) rows.
-        """
-        suffix = np.cumsum(occupations[:, ::-1], axis=1)
-        rank = np.zeros(len(occupations), dtype=np.int64)
-        for k in range(1, self.modes):
-            comb = np.array([math.comb(s + k - 1, k) for s in range(self.photons + 1)])
-            rank += comb[suffix[:, k - 1]]
-        return rank
-
-    def index(self, occupations: tuple[int, ...]) -> int:
-        """Position of an occupation tuple in the canonical order."""
-        occ = tuple(occupations)
-        if len(occ) != self.modes or min(occ) < 0 or sum(occ) != self.photons:
-            raise KeyError(occ)
-        return int(self.ranks(np.array([occ]))[0])
-
-    def __len__(self) -> int:
-        return self.dimension
-
-    def __repr__(self) -> str:
-        return f"SubspaceBasis(modes={self.modes}, photons={self.photons}, dim={self.dimension})"
-
-
 def subspace_dimension(modes: int, photons: int) -> int:
     """C(N+M-1, M-1) without enumerating anything."""
     return math.comb(photons + modes - 1, modes - 1)
 
 
 @lru_cache(maxsize=None)
-def _cached_basis(modes: int, photons: int) -> SubspaceBasis:
-    return SubspaceBasis(modes, photons)
+def enumerate_subspace(modes: int, photons: int) -> np.ndarray:
+    """Ordered number basis of the N-photon sector of M modes.
 
-
-def enumerate_subspace(modes: int, photons: int) -> SubspaceBasis:
-    """Canonical basis of the N-photon, M-mode subspace.
-
+    One cached, read-only dimension x modes array of occupations, of the
+    narrowest signed integer type that holds N exactly (int16 up to
+    N = 32,767).  The canonical order is lexicographically descending,
+    (N,0,...,0) first and (0,...,0,N) last, so that matrices built by
+    different modules index identically; `occupation_ranks` gives positions.
     Raises CapacityError before allocating anything if the dimension
     C(N+M-1, M-1) exceeds DEFAULT_DIMENSION_CAP.
     """
@@ -137,30 +81,54 @@ def enumerate_subspace(modes: int, photons: int) -> SubspaceBasis:
             f"subspace (modes={modes}, photons={photons}) has dimension {dim} "
             f"> cap {DEFAULT_DIMENSION_CAP}"
         )
-    return _cached_basis(modes, photons)
+    # add one mode at a time: splitting each row's last entry L into
+    # (L - j, j), j = 0..L, keeps the rows lex-descending
+    occ = np.full((1, 1), photons, dtype=np.int64)
+    for _ in range(modes - 1):
+        parent = np.repeat(np.arange(len(occ)), occ[:, -1] + 1)
+        moved = np.arange(len(parent)) - np.searchsorted(parent, parent)
+        occ = np.column_stack([occ[parent], moved])
+        occ[:, -2] -= moved
+    occ = occ.astype(next(t for t in OCCUPATION_TYPES if photons <= np.iinfo(t).max))
+    occ.flags.writeable = False
+    return occ
+
+
+def occupation_ranks(occupations: np.ndarray, photons: int) -> np.ndarray:
+    """Positions in `enumerate_subspace` of rows of N-photon occupations: a
+    row whose last k modes hold S_k photons follows
+    sum_{k=1}^{M-1} C(S_k + k - 1, k) rows.
+    """
+    suffix = np.cumsum(occupations[:, ::-1], axis=1)
+    rank = np.zeros(len(occupations), dtype=np.int64)
+    for k in range(1, occupations.shape[1]):
+        comb = np.array([math.comb(s + k - 1, k) for s in range(photons + 1)])
+        rank += comb[suffix[:, k - 1]]
+    return rank
 
 
 # ---------------------------------------------------------------------------
 # coherent-state amplitudes
 
 
-def subspace_amplitudes(alphas: Sequence[complex], basis: SubspaceBasis) -> np.ndarray:
-    """Number-basis amplitudes <n_1,...,n_M | alpha_1,...,alpha_M> over a basis.
+def subspace_amplitudes(alphas: Sequence[complex], basis: np.ndarray) -> np.ndarray:
+    """Number-basis amplitudes <n_1,...,n_M | alpha_1,...,alpha_M> over the
+    occupations of one `enumerate_subspace`.
 
     Each equals exp(-sum |alpha_m|^2 / 2) * prod_m alpha_m^{n_m} / sqrt(n_m!),
     evaluated for every ket at once in log-magnitude + phase form, so that
     large occupations (n ~ 100) neither overflow nor lose the phase.
     """
     alphas = [complex(a) for a in alphas]
-    if len(alphas) != basis.modes:
-        raise ValueError(f"{len(alphas)} amplitudes for {basis.modes}-mode basis")
-    occ = basis.occupation_array
-    lf = log_factorials(basis.photons)
-    log_mag = np.full(basis.dimension, -0.5 * sum(abs(a) ** 2 for a in alphas))
-    phase = np.zeros(basis.dimension)
-    alive = np.ones(basis.dimension, dtype=bool)
+    dim, modes = basis.shape
+    if len(alphas) != modes:
+        raise ValueError(f"{len(alphas)} amplitudes for {modes}-mode basis")
+    lf = log_factorials(int(basis[0].sum()))  # every row sums to N
+    log_mag = np.full(dim, -0.5 * sum(abs(a) ** 2 for a in alphas))
+    phase = np.zeros(dim)
+    alive = np.ones(dim, dtype=bool)
     for m, a in enumerate(alphas):
-        n = occ[:, m]
+        n = basis[:, m]
         mag = abs(a)
         if mag == 0.0:
             alive &= n == 0
@@ -200,26 +168,15 @@ def check_hermitian(m: np.ndarray) -> np.ndarray:
 # eigensolver
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def hermitian_eig(m: np.ndarray) -> SpectralDecomposition:
-    """Full spectral decomposition of a complex Hermitian matrix.
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and matching orthonormal eigenvector columns
+    of a complex Hermitian matrix.
 
     LAPACK's divide-and-conquer solver (`numpy.linalg.eigh`) on the matrix
     `check_hermitian` accepts, reversed into descending order.
     """
     lam, v = np.linalg.eigh(check_hermitian(m))
-    return SpectralDecomposition(lam[::-1], v[:, ::-1])
+    return lam[::-1], v[:, ::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +191,15 @@ def psd_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     when it is positive and at least 1e-10 times the largest eigenvalue,
     which makes the support scale-invariant.
     """
-    dec = hermitian_eig(m)
-    lam = dec.eigenvalues.copy()
+    lam, v = hermitian_eig(m)
+    lam = lam.copy()
     if lam.size and lam[-1] < -PSD_TOLERANCE:
         raise NotPositiveSemidefiniteError(
             f"eigenvalue {lam[-1]:.3e} below -{PSD_TOLERANCE:.1e}"
         )
     lam[lam < 0.0] = 0.0
     on_support = (lam >= 1e-10 * (lam[0] if lam.size else 0.0)) & (lam > 0.0)
-    return lam, dec.eigenvectors, on_support
+    return lam, v, on_support
 
 
 def matrix_function(m: np.ndarray, f: Callable[[float], float]) -> np.ndarray:

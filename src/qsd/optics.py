@@ -122,7 +122,7 @@ def min_error_via_circuit(
     a no-click round is resolved by guessing the highest-prior label.  The
     result is sum_i p_i [P(correct click | i) + 1{i = guess} P(no click | i)].
     """
-    labels = spec.labels
+    labels = spec.family.labels
     if priors is None:
         priors = [1.0 / len(labels)] * len(labels)
     if len(priors) != len(labels) or abs(sum(priors) - 1.0) > 1e-12:

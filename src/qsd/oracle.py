@@ -43,7 +43,7 @@ class Povm:
     def validate(self, psd_tol: float = 1e-9, sum_tol: float = 1e-9) -> tuple[float, float]:
         worst_negative = 0.0
         for element in self.elements:
-            lam = fock.hermitian_eig(element).eigenvalues
+            lam = fock.hermitian_eig(element)[0]
             if lam.size:
                 worst_negative = min(worst_negative, float(lam[-1]))
         total = sum(self.elements)
@@ -121,8 +121,7 @@ def helstrom_two(rho0: np.ndarray, rho1: np.ndarray, p0: float) -> tuple[Povm, f
     p1 = 1.0 - p0
     difference = p0 * rho0 - p1 * rho1
     average = p0 * rho0 + p1 * rho1
-    dec = fock.hermitian_eig(difference)
-    v = dec.eigenvectors
+    lam, v = fock.hermitian_eig(difference)
 
     # Classify every eigenvector of the difference operator in one pass, so
     # all projectors come from a single orthonormal basis and the two
@@ -130,8 +129,8 @@ def helstrom_two(rho0: np.ndarray, rho1: np.ndarray, p0: float) -> tuple[Povm, f
     # Kernel directions carrying average-state weight go to the larger-prior
     # outcome (outcome 0 on a tie); weightless directions never occur and are
     # excluded from the measurement.
-    to_zero = dec.eigenvalues > SIGN_THRESHOLD
-    to_one = dec.eigenvalues < -SIGN_THRESHOLD
+    to_zero = lam > SIGN_THRESHOLD
+    to_one = lam < -SIGN_THRESHOLD
     in_kernel = ~(to_zero | to_one)
     if np.any(in_kernel):
         vk = v[:, in_kernel]
@@ -147,7 +146,7 @@ def helstrom_two(rho0: np.ndarray, rho1: np.ndarray, p0: float) -> tuple[Povm, f
     support = (v * (to_zero | to_one).astype(float)) @ v.conj().T
     pi0 = 0.5 * (pi0 + pi0.conj().T)
     pi1 = 0.5 * (pi1 + pi1.conj().T)
-    p_corr = p1 + float(dec.eigenvalues[to_zero].sum())
+    p_corr = p1 + float(lam[to_zero].sum())
     return Povm((pi0, pi1), 0.5 * (support + support.conj().T)), p_corr
 
 
@@ -200,6 +199,8 @@ def block_average(terms: Sequence[float], weights: Sequence[float]) -> float:
     """
     if len(terms) != len(weights):
         raise ValueError("one weight per block required")
+    if not len(weights):
+        raise ValueError("no photon-number blocks to average")
     weights = np.asarray(weights, dtype=float)
     if not weights.min() >= 0.0 or weights.sum() > 1.0 + 1e-12:  # also rejects nan
         raise ValueError("weights must be a (truncated) probability sequence")
@@ -243,6 +244,8 @@ def whole_matrix_srm(
     """
     if len(blocks) != len(weights):
         raise ValueError("one weight per block required")
+    if not blocks:
+        raise ValueError("no photon-number blocks for the SRM")
     n_states = len(blocks[0])
     coords: list[list[np.ndarray]] = [[] for _ in range(n_states)]
     for block in blocks:
@@ -290,9 +293,7 @@ def phase_average(state: CoherentStateVector, n_max: int) -> np.ndarray:
     vacuum = [math.exp(-0.5 * abs(a) ** 2) for a in state.amplitudes]
     if min(vacuum) < sys.float_info.min:
         raise fock.CapacityError(f"vacuum amplitude of {state.amplitudes} underflows")
-    kets = np.concatenate(
-        [fock.enumerate_subspace(state.modes, n).occupation_array for n in range(n_max + 1)]
-    )
+    kets = np.concatenate([fock.enumerate_subspace(state.modes, n) for n in range(n_max + 1)])
     turns = n_max + 1
     phases = np.array([cmath.rect(1.0, 2.0 * math.pi * j / turns) for j in range(turns)])
     steps = np.empty((turns, n_max + 1), dtype=np.complex128)

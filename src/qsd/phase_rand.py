@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -83,7 +84,7 @@ def poisson_series(
     """
     if not mean >= 0:  # also rejects nan
         raise ValueError(f"mean photon number {mean} is not a number >= 0")
-    if n_max is not None and n_max < 0:
+    if n_max is not None and operator.index(n_max) < 0:  # refuses 2.5
         raise ValueError(f"truncation photon number {n_max} is negative")
     if n_max is None:
         check_tail_tol(tail_tol, "tail_tol")
@@ -204,7 +205,7 @@ def subspace_state_blocks(
     """Poisson weights plus the per-N pure state vectors of a family.
 
     Returns (weights, blocks) with blocks[N] the list of L state vectors in
-    the N-photon subspace basis, label order matching spec.labels.
+    the N-photon subspace basis, in the family's label order.
     """
     weights = np.array(poisson_series(spec.mean_photons, tail_tol))
     blocks = [symmetric.subspace_states(spec, n) for n in range(len(weights))]
@@ -248,7 +249,7 @@ def mixed_state_matrix(spec: SymmetricFamilySpec, which: str, n_max: int) -> np.
     the oracle route's density matrices do not depend on
     `symmetric.subspace_states`.
     """
-    labels = spec.labels
+    labels = spec.family.labels
     if which not in labels:
         raise ValueError(f"label {which!r} not in {labels}")
     amplitudes = spec.amplitude_vectors()[labels.index(which)]
@@ -284,9 +285,8 @@ def subspace_symmetry_unitary(family_tag: str, photons: int) -> np.ndarray:
     photon number and whose L-th power is the identity on the block.
     """
     family = SymmetricFamilySpec(family_tag).family
-    basis = fock.enumerate_subspace(family.modes, photons)
-    image = basis.occupation_array[:, family.perm]
+    image = fock.enumerate_subspace(family.modes, photons)[:, family.perm]
     values = np.array(symmetric._I_POWERS)[(image @ np.array(family.shift)) % 4]
-    u = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
-    u[basis.ranks(image), np.arange(basis.dimension)] = values
+    u = np.zeros((len(image), len(image)), dtype=np.complex128)
+    u[fock.occupation_ranks(image, photons), np.arange(len(image))] = values
     return u

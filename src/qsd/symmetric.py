@@ -77,6 +77,13 @@ class CoherentFamily:
         turns = [[(t - s) % 4 for s, t in zip(self.seed, member)] for member in self.orbit]
         return tuple((q.count(0) - q.count(2), q.count(1) - q.count(3)) for q in turns)
 
+    def unit_vectors(self) -> list[np.ndarray]:
+        """Member amplitude vectors of unit norm, i^t_k,m / sqrt(M): for
+        three_mode and four_mode, the qutrit and ququart families of four
+        fixed states."""
+        root = np.sqrt(self.modes)
+        return [np.array(_I_POWERS)[list(exps)] / root for exps in self.orbit]
+
 
 _TWO_BITS = ("00", "01", "11", "10")
 
@@ -91,12 +98,8 @@ FAMILIES = {
 
 @dataclass(frozen=True)
 class SymmetricFamilySpec:
-    """One coherent family of `FAMILIES`, with its coherent amplitude |alpha|.
-
-    Labels follow the cyclic order of the family's symmetry S: ("0", "1")
-    for the two-mode family and ("00", "01", "11", "10") for the four-state
-    ones.
-    """
+    """One coherent family of `FAMILIES`, with its coherent amplitude |alpha|;
+    everything that does not depend on |alpha| is read from `family`."""
 
     family_tag: str
     amplitude: float = 0.0
@@ -112,37 +115,13 @@ class SymmetricFamilySpec:
         return FAMILIES[self.family_tag]
 
     @property
-    def n_states(self) -> int:
-        return len(self.family.orbit)
-
-    @property
-    def modes(self) -> int:
-        return self.family.modes
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.family.labels
-
-    @property
     def mean_photons(self) -> float:
-        return self.modes * self.amplitude**2
-
-    def phase_exponents(self) -> tuple[tuple[int, ...], ...]:
-        """Per-state, per-mode phase factors as powers of i: state k carries
-        amplitude i^{t_m} |alpha| in mode m."""
-        return self.family.orbit
+        return self.family.modes * self.amplitude**2
 
     def amplitude_vectors(self) -> list[np.ndarray]:
         """Mode amplitude vectors of the coherent states, in label order."""
         alpha = self.amplitude
-        return [np.array([_I_POWERS[t] * alpha for t in exps]) for exps in self.phase_exponents()]
-
-    def unit_vectors(self) -> list[np.ndarray]:
-        """The amplitude vectors over their norm sqrt(M) |alpha|, which do not
-        depend on |alpha|: for three_mode and four_mode, the qutrit and
-        ququart families of four fixed states."""
-        root = np.sqrt(self.modes)
-        return [np.array(_I_POWERS)[list(exps)] / root for exps in self.phase_exponents()]
+        return [np.array([_I_POWERS[t] * alpha for t in exps]) for exps in self.family.orbit]
 
 
 def subspace_states(spec: SymmetricFamilySpec, photons: int) -> list[np.ndarray]:
@@ -163,15 +142,14 @@ def _block_key(
     """(modes, phase exponents, N): all an N-photon block depends on."""
     if photons < 0:
         raise ValueError(f"negative photon number {photons}")
-    return spec.modes, spec.phase_exponents(), photons
+    return spec.family.modes, spec.family.orbit, photons
 
 
 @lru_cache(maxsize=None)
 def _subspace_states(
     modes: int, exponents: tuple[tuple[int, ...], ...], photons: int
 ) -> tuple[np.ndarray, ...]:
-    basis = fock.enumerate_subspace(modes, photons)
-    occ = basis.occupation_array
+    occ = fock.enumerate_subspace(modes, photons)
     lf = fock.log_factorials(photons)
     log_mag = -0.5 * lf[occ].sum(axis=1)
     mag = np.exp(log_mag - log_mag.max())
@@ -189,6 +167,8 @@ def _subspace_states(
 def gram_matrix(states: Sequence[np.ndarray]) -> np.ndarray:
     """Pairwise inner products G_ij = <psi_i|psi_j>, as a Hermitian array."""
     size = len(states)
+    if not size:
+        raise ValueError("Gram matrix of no states")
     dim = states[0].shape[0]
     for s in states:
         if s.shape != (dim,):
@@ -233,6 +213,8 @@ def circulant_eigenvalues(gram: np.ndarray) -> np.ndarray:
     size = len(gram)
     if gram.shape != (size, size):
         raise ValueError(f"Gram matrix of shape {gram.shape} is not square")
+    if not size:
+        raise ValueError("empty Gram matrix")
     row = gram[0]
     index = np.arange(size)
     # row[k - i] wraps negative differences to (k - i) mod L; nan fails the test

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qsd import discrimination as disc
-from qsd import oracle, phase_rand, symmetric
+from qsd import fock, oracle, phase_rand, symmetric
 from qsd.fock import CapacityError
 from qsd.symmetric import SymmetricFamilySpec
 
@@ -226,7 +226,7 @@ class TestFamilyP1bitAndBot:
     def test_mixed_terms_match_generic_overlap_formula(self):
         for tag in FOUR_STATE:
             for alpha in (0.4, 1.1):
-                mean = SymmetricFamilySpec(tag).modes * alpha**2
+                mean = SymmetricFamilySpec(tag, alpha).mean_photons
                 n_max = phase_rand.truncation_photon_number(mean, 1e-12)
                 weights = phase_rand.poisson_weights(mean, n_max)
                 total = weights[0] * 0.5
@@ -334,14 +334,14 @@ class TestDeltaAndShapes:
                 assert gap >= -1e-12
 
     def test_crossover_report(self):
-        report = disc.phase_encoded_ot_crossover()
-        assert report.intervals
-        assert 0.7 <= report.lower_bound <= 0.9
+        intervals = disc.phase_encoded_ot_crossover()
+        assert intervals
+        assert 0.7 <= intervals[0][0] <= 0.9
 
     def test_crossover_report_equals_fixed_step_bisection(self, monkeypatch):
-        report = disc.phase_encoded_ot_crossover()
+        intervals = disc.phase_encoded_ot_crossover()
         monkeypatch.setattr(disc, "_invert_monotone", fixed_step_inverse)
-        assert disc.phase_encoded_ot_crossover() == report
+        assert disc.phase_encoded_ot_crossover() == intervals
 
     def test_delta_max_equals_single_point_scan(self):
         for tag in disc.COHERENT_FAMILIES:
@@ -364,7 +364,7 @@ class TestDeltaAndShapes:
 @pytest.mark.parametrize("tag", disc.COHERENT_FAMILIES)
 def test_subspace_overlaps_are_correctly_rounded(tag):
     # c_k = <a_0, a_k> / |a_0|^2 as exact rationals, from the orbit's quarter turns
-    orbit = SymmetricFamilySpec(tag).phase_exponents()
+    orbit = symmetric.FAMILIES[tag].orbit
     units = ((1, 0), (0, 1), (-1, 0), (0, -1))
     c = []
     for member in orbit:
@@ -375,6 +375,27 @@ def test_subspace_overlaps_are_correctly_rounded(tag):
         expected = [complex(float(re), float(im)) for re, im in power]
         assert disc.subspace_overlaps(tag, n).tolist() == expected, n
         power = [(a * x - b * y, a * y + b * x) for (a, b), (x, y) in zip(power, c)]
+
+
+PHOTON_COUNT_CALLS = {
+    "overlaps_three_mode": lambda n: disc.subspace_overlaps("three_mode", n),
+    "overlaps_four_mode": lambda n: disc.subspace_overlaps("four_mode", n),
+    "overlaps_phase_encoded": lambda n: disc.subspace_overlaps("phase_encoded", n),
+    "poisson_series": lambda n: np.array(phase_rand.poisson_series(1.0, n_max=n)),
+    "poisson_weights": lambda n: phase_rand.poisson_weights(1.0, n),
+    "enumerate_subspace": lambda n: fock.enumerate_subspace(3, n),
+}
+
+
+@pytest.mark.parametrize("call", PHOTON_COUNT_CALLS.values(), ids=PHOTON_COUNT_CALLS)
+def test_photon_numbers_are_integers(call):
+    # a numpy integer gives the bits of the int (int64 powers overflow past
+    # N = 39); a fractional count is refused, not used as a power or a bound
+    for n in (0, 3, 40):
+        expected, got = call(n), call(np.int64(n))
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    with pytest.raises(TypeError):
+        call(2.5)
 
 
 SERIES_TABLES = [("p_corr", "three_mode"), ("p_corr", "phase_encoded")] + [

@@ -26,7 +26,7 @@ class TestApplyCircuit:
         fig3 = optics.preset("fig3")
         spec = SymmetricFamilySpec("four_mode", 1.0)
         expected_mode = {"00": 0, "01": 3, "11": 1, "10": 2}
-        for label, amps in zip(spec.labels, spec.amplitude_vectors()):
+        for label, amps in zip(spec.family.labels, spec.amplitude_vectors()):
             out = optics.apply_circuit(fig3, amps)
             hot = expected_mode[label]
             assert abs(abs(out[hot]) - 2.0) < 1e-14

@@ -23,7 +23,7 @@ class TestSrm:
         povm.validate()
 
     def test_qutrit_family(self):
-        vectors = SymmetricFamilySpec("three_mode").unit_vectors()
+        vectors = symmetric.FAMILIES["three_mode"].unit_vectors()
         povm, success = oracle.srm(vectors, [0.25] * 4)
         assert success == pytest.approx(0.75, abs=1e-10)
         povm.validate()
@@ -36,7 +36,7 @@ class TestSrm:
             oracle.srm(states, priors)
 
     def test_ququart_family(self):
-        vectors = SymmetricFamilySpec("four_mode").unit_vectors()
+        vectors = symmetric.FAMILIES["four_mode"].unit_vectors()
         _povm, success = oracle.srm(vectors, [0.25] * 4)
         assert success == pytest.approx(1.0, abs=1e-12)
 
@@ -49,7 +49,7 @@ class TestSrm:
             for n in range(13)
         ]
         families += [
-            SymmetricFamilySpec(tag).unit_vectors() for tag in ("three_mode", "four_mode")
+            symmetric.FAMILIES[tag].unit_vectors() for tag in ("three_mode", "four_mode")
         ]
         for states in families:
             gram = symmetric.gram_matrix(states)
@@ -156,7 +156,7 @@ class TestSpanReduction:
 
 class TestBlockSrm:
     def test_single_block_is_plain_srm(self):
-        vectors = SymmetricFamilySpec("three_mode").unit_vectors()
+        vectors = symmetric.FAMILIES["three_mode"].unit_vectors()
         assert oracle.block_srm([vectors], [1.0]) == pytest.approx(0.75, abs=1e-10)
 
     def test_four_mode_closed_form(self):
@@ -175,14 +175,14 @@ class TestBlockSrm:
             assert abs(block_value - whole_value) < 1e-9
 
     def test_weight_validation(self):
-        vectors = SymmetricFamilySpec("three_mode").unit_vectors()
+        vectors = symmetric.FAMILIES["three_mode"].unit_vectors()
         with pytest.raises(ValueError):
             oracle.block_srm([vectors], [1.5])
         with pytest.raises(ValueError):
             oracle.block_srm([vectors], [0.5, 0.5])
 
     def test_nan_weight_rejected(self):
-        vectors = SymmetricFamilySpec("three_mode").unit_vectors()
+        vectors = symmetric.FAMILIES["three_mode"].unit_vectors()
         with pytest.raises(ValueError):
             oracle.block_srm([vectors], [math.nan])
 
@@ -325,3 +325,23 @@ class TestVerifyAppendixB:
     def test_zero_amplitude_reduces_to_guessing(self):
         report = oracle.verify_appendix_b(0.0, 0.3)
         assert report.helstrom_success == pytest.approx(0.7, abs=1e-12)
+
+
+EMPTY_INPUTS = {
+    "gram_matrix": (lambda: symmetric.gram_matrix([]), "no states"),
+    "circulant_eigenvalues": (
+        lambda: symmetric.circulant_eigenvalues(np.zeros((0, 0))), "empty Gram matrix"
+    ),
+    "srm_success_from_gram": (
+        lambda: symmetric.srm_success_from_gram(np.zeros((0, 0))), "empty Gram matrix"
+    ),
+    "whole_matrix_srm": (lambda: oracle.whole_matrix_srm([], []), "no photon-number blocks"),
+    "block_srm": (lambda: oracle.block_srm([], []), "no photon-number blocks"),
+}
+
+
+@pytest.mark.parametrize("call,names", EMPTY_INPUTS.values(), ids=EMPTY_INPUTS)
+def test_empty_input_is_refused_in_one_line(call, names):
+    with pytest.raises(ValueError, match=names) as info:
+        call()
+    assert "\n" not in str(info.value)

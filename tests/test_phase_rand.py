@@ -21,7 +21,8 @@ def diagonal_blocks(rho, modes, n_max):
 def member_blocks(spec, label, n_max):
     """The blocks p_N |psi_N><psi_N| of one family member, N = 0..n_max,
     sliced out of its `mixed_state_matrix`."""
-    return diagonal_blocks(phase_rand.mixed_state_matrix(spec, label, n_max), spec.modes, n_max)
+    rho = phase_rand.mixed_state_matrix(spec, label, n_max)
+    return diagonal_blocks(rho, spec.family.modes, n_max)
 
 
 def poisson_tail(mean, beyond):
@@ -128,8 +129,7 @@ class TestMixedStateMatrix:
         spec = SymmetricFamilySpec("two_mode", alpha)
         for b in (0, 1):
             for n, block in enumerate(member_blocks(spec, str(b), 6)):
-                basis = fock.enumerate_subspace(2, n)
-                occupations = list(map(tuple, basis.occupation_array.tolist()))
+                occupations = list(map(tuple, fock.enumerate_subspace(2, n).tolist()))
                 for i, (j, k) in enumerate(occupations):
                     for i2, (p, q) in enumerate(occupations):
                         expected = (
@@ -188,10 +188,10 @@ class TestMixedStateMatrix:
         # the block p_N |psi_N><psi_N| is vec_i conj(vec_j) with both parts
         # scaled by p_N, then placed on the diagonal of a zero matrix
         spec = SymmetricFamilySpec(tag, alpha)
-        for label, alphas in zip(spec.labels, spec.amplitude_vectors()):
+        for label, alphas in zip(spec.family.labels, spec.amplitude_vectors()):
             state = CoherentStateVector(tuple(alphas))
             weights = phase_rand.poisson_weights(state.mean_photons, 8)
-            dim = sum(fock.subspace_dimension(spec.modes, n) for n in range(9))
+            dim = sum(fock.subspace_dimension(spec.family.modes, n) for n in range(9))
             expected = np.zeros((dim, dim), complex)
             offset = 0
             for n, weight in enumerate(weights):
@@ -258,10 +258,9 @@ class TestSymmetryUnitary:
         # the mode count is the arity of `image`, not read from the family table
         modes = len(inspect.signature(image).parameters)
         for photons in range(0, 9):
-            basis = fock.enumerate_subspace(modes, photons)
-            occupations = list(map(tuple, basis.occupation_array.tolist()))
+            occupations = list(map(tuple, fock.enumerate_subspace(modes, photons).tolist()))
             position = {occ: i for i, occ in enumerate(occupations)}
-            expected = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+            expected = np.zeros((len(occupations), len(occupations)), dtype=complex)
             for col, occ in enumerate(occupations):
                 expected[position[image(*occ)], col] = sign(*occ)
             u = phase_rand.subspace_symmetry_unitary(tag, photons)
@@ -308,7 +307,7 @@ class TestGenericCoherentPath:
         # those of p_N |psi_N><psi_N| built on its own
         for tag, label in (("four_mode", "01"), ("two_mode", "1")):
             spec = SymmetricFamilySpec(tag, 0.7)
-            alphas = spec.amplitude_vectors()[spec.labels.index(label)]
+            alphas = spec.amplitude_vectors()[spec.family.labels.index(label)]
             state = CoherentStateVector(tuple(alphas))
             stored = member_blocks(spec, label, 8)
             weights = phase_rand.poisson_weights(state.mean_photons, 8)

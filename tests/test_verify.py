@@ -5,7 +5,6 @@ import pytest
 
 from qsd import discrimination as disc
 from qsd import fock, oracle, phase_rand, symmetric, verify
-from qsd.discrimination import CrossoverReport
 from qsd.symmetric import SymmetricFamilySpec
 
 #: The check ids `qsd verify all` prints, in order, as the benchmark expects.
@@ -82,9 +81,18 @@ def test_non_circulant_gram_fails_with_a_tol(monkeypatch):
     # unit diagonal and PSD, but G_10 = 0.5 where the pattern of row 0 puts G_02 = 0
     broken = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]], dtype=complex)
     monkeypatch.setattr(verify.symmetric, "subspace_gram", lambda spec, n: broken)
-    [result] = verify.suite_gram()
-    assert result.line() == "FAIL  gram.circulant_structure.two_mode  1.000e+00"
-    assert (result.tol, result.margin) == (verify.BOOLEAN_TOL, 1.0)
+    rows = verify.suite_gram()
+    # every reference id of the suite stays, after the structure row
+    gram_ids = [i for i in REFERENCE_IDS.read_text().split() if i.startswith("gram.")]
+    assert [r.check_id for r in rows[1:]] == gram_ids
+    assert [r.line() for r in rows[:3]] == [
+        "FAIL  gram.circulant_structure.two_mode  1.000e+00",
+        "FAIL  gram.dft_vs_dense_eigenvalues  1.000e+00",
+        "FAIL  gram.closed_form_overlaps  inf",  # a 3 x 3 matrix for 2 and 4 states
+    ]
+    for result in rows[:2]:
+        assert (result.tol, result.margin) == (verify.BOOLEAN_TOL, 1.0)
+    assert rows[3].passed  # the multinomial sums read no Gram matrix
 
 
 def test_closed_form_overlaps_compares_every_entry(monkeypatch):
@@ -106,7 +114,7 @@ def test_closed_form_overlaps_compares_every_entry(monkeypatch):
 
 
 def test_missing_crossover_fails_with_a_tol(monkeypatch):
-    monkeypatch.setattr(disc, "phase_encoded_ot_crossover", lambda: CrossoverReport(()))
+    monkeypatch.setattr(disc, "phase_encoded_ot_crossover", lambda: ())
     result = verify.suite_families()[-1]
     assert result.line() == "FAIL  families.phase_encoded_crossover  1.000e+00"
     assert (result.tol, result.margin) == (verify.BOOLEAN_TOL, 1.0)
