@@ -180,11 +180,22 @@ def _curve_request(args: argparse.Namespace) -> CurveRequest:
 
 
 def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
-    results = verify.run_suite(args.suite)
-    for result in results:
-        print(result.line(), file=out)
-    failed = sum(not r.passed for r in results)
-    print(f"# {len(results) - failed}/{len(results)} checks passed", file=out)
+    """Print each suite's rows as it finishes; a suite that raises prints one
+    FAIL row `<suite>.raised` (error inf) and one stderr line, and the rest
+    still run."""
+    total = failed = 0
+    for name in verify.SUITE_NAMES if args.suite == "all" else (args.suite,):
+        try:
+            results = verify.run_suite(name)
+        except Exception as exc:
+            print(f"error: suite {name} raised {type(exc).__name__}: {exc}", file=sys.stderr)
+            results = [verify.CheckResult(f"{name}.raised", math.inf, verify.BOOLEAN_TOL)]
+        for result in results:
+            print(result.line(), file=out)
+        out.flush()
+        total += len(results)
+        failed += sum(not r.passed for r in results)
+    print(f"# {total - failed}/{total} checks passed", file=out)
     return 1 if failed else 0
 
 

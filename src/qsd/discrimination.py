@@ -14,7 +14,6 @@ import math
 import operator
 import sys
 from functools import lru_cache, wraps
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,26 +45,16 @@ def _family_tag(family) -> str:
     return family
 
 
-def _intensity(alpha_abs: float) -> float:
-    """|alpha|^2 of a non-negative |alpha|, saturating at the largest float.
+def _intensities(alphas: np.ndarray) -> np.ndarray:
+    """|alpha|^2 of each entry of a grid checked by `_grid`, saturating at the
+    largest float.
 
     Past the float range, |alpha| = inf included, every exp(-k |alpha|^2) is
     exactly 0, so each closed form returns its exact limit and a Poisson
     series raises CapacityError, instead of a trigonometric factor raising on
-    inf.  NaN raises ValueError.  The square is x * x, as in
-    `_intensities`: x ** 2 is libm pow, which differs from the product on
-    some inputs and raises OverflowError where the product gives inf.
+    inf.  The square is x * x, never libm pow, which differs from the product
+    on some inputs.
     """
-    if math.isnan(alpha_abs):
-        raise ValueError("|alpha| is NaN")
-    if alpha_abs < 0:
-        raise ValueError(f"negative |alpha| {alpha_abs}")
-    x = float(alpha_abs)
-    return min(x * x, sys.float_info.max)
-
-
-def _intensities(alphas: np.ndarray) -> np.ndarray:
-    """`_intensity` of each entry of a grid checked by `_grid`, bit for bit."""
     with np.errstate(over="ignore"):  # x * x overflows to inf, then saturates
         square = alphas * alphas
     return np.minimum(square, sys.float_info.max, out=square)
@@ -78,21 +67,15 @@ def _normalized_prior(p: float) -> float:
     return min(p, 1.0 - p)
 
 
-def _clip_radicand(x: float) -> float:
-    if x < -1e-12:
-        raise InvalidOverlapError(f"radicand {x:.3e} below -1e-12")
-    return max(x, 0.0)
-
-
 def _clip_radicands(x: np.ndarray) -> np.ndarray:
-    """`_clip_radicand` of each entry; the first entry below -1e-12 raises.
+    """Each radicand clipped at 0; the first entry below -1e-12 raises.
 
-    max(-0.0, 0.0) is -0.0, so this takes np.where, not np.maximum, to give
-    the same zero.
+    max(-0.0, 0.0) is -0.0, so this takes np.where, not np.maximum, to keep
+    that zero.
     """
     low = x < -1e-12
     if low.any():
-        _clip_radicand(float(x[np.argmax(low)]))
+        raise InvalidOverlapError(f"radicand {x[np.argmax(low)]:.3e} below -1e-12")
     return np.where(x < 0.0, 0.0, x)
 
 
@@ -100,24 +83,64 @@ def _libm_each(fn):
     """A `math` function applied to each entry of an array.
 
     numpy's own exp, cos, cosh, ... round differently from libm on some
-    inputs (its SIMD versions do), so a grid calls the same libm function
-    as a single point, and each entry is bit-identical to the point's value.
+    inputs (its SIMD versions do), and the reference curves were written
+    with libm, so every kernel calls libm entry by entry.  np.sqrt is
+    correctly rounded like math.sqrt, and arithmetic is IEEE in both.
     """
     return lambda x: np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
-#: The operations a closed-form kernel uses besides arithmetic, for one
-#: point (libm itself) and for a grid (libm per entry; np.sqrt is correctly
-#: rounded like math.sqrt).  Arithmetic is IEEE in Python and numpy alike.
-_POINT_OPS = SimpleNamespace(
-    exp=math.exp, cos=math.cos, sin=math.sin, cosh=math.cosh, sinh=math.sinh,
-    sqrt=math.sqrt, clip=_clip_radicand, where=lambda c, x, y: x if c else y,
+_exp, _cos, _sin, _cosh, _sinh = map(
+    _libm_each, (math.exp, math.cos, math.sin, math.cosh, math.sinh)
 )
-_GRID_OPS = SimpleNamespace(
-    exp=_libm_each(math.exp), cos=_libm_each(math.cos), sin=_libm_each(math.sin),
-    cosh=_libm_each(math.cosh), sinh=_libm_each(math.sinh),
-    sqrt=np.sqrt, clip=_clip_radicands, where=np.where,
-)
+
+
+def _grid(alpha_abs) -> tuple[np.ndarray, bool]:
+    """A 1-D |alpha| grid as a float array, and whether it was a single point.
+
+    A single |alpha| is a one-entry grid.  A grid is checked before any
+    point is evaluated: its first NaN or negative entry raises ValueError.
+    """
+    alphas = np.asarray(alpha_abs, dtype=float)
+    point = alphas.ndim == 0
+    if point:
+        alphas = alphas.reshape(1)
+    elif alphas.ndim != 1:
+        raise ValueError(f"|alpha| grid has shape {alphas.shape}, not 1-D")
+    invalid = ~(alphas >= 0)
+    if invalid.any():
+        bad = float(alphas[np.argmax(invalid)])
+        raise ValueError("|alpha| is NaN" if math.isnan(bad) else f"negative |alpha| {bad}")
+    return alphas, point
+
+
+def _closed_form(kernel):
+    """Make kernel(w, *args) of an array w = |alpha|^2 a function of |alpha|.
+
+    The function takes one |alpha| (and returns a float) or a 1-D grid
+    (checked first by `_grid`; returns an array); a single point runs as a
+    one-entry grid.  The kernel works entry by entry and every square in it
+    is x * x, so a value does not depend on the grid around it.  numpy warns
+    where a product overflows to inf, which is the intended value here, so
+    the kernel runs with overflow warnings off.  A grid whose kernel raises
+    InvalidOverlapError runs its points again as one-entry grids, so the
+    error raised is the first failing point's own.
+    """
+
+    @wraps(kernel)
+    def closed_form(alpha_abs, *args, **kwargs):
+        alphas, point = _grid(alpha_abs)
+        try:
+            with np.errstate(over="ignore"):
+                values = kernel(_intensities(alphas), *args, **kwargs)
+        except InvalidOverlapError:
+            if not point:
+                for a in alphas.tolist():
+                    closed_form(a, *args, **kwargs)
+            raise
+        return float(values[0]) if point else values
+
+    return closed_form
 
 
 @lru_cache(maxsize=None)
@@ -137,37 +160,43 @@ def _block_overlaps(tag: str) -> tuple[tuple[float, float, float], ...]:
     return tuple(rows)
 
 
+def _block_success(tag: str, metric: str, re, im, g):
+    """Success of `metric` in N-photon subspaces (N >= 1), entry by entry.
+
+    From arrays of the block overlaps F_N = re + i im and G_N = g: the
+    square-root-measurement brackets of `three_mode_mixed_pcorr` and
+    `phase_encoded_mixed_pcorr` for p_corr, and the overlap formula for
+    p_1bit, whose three-mode radicand stays factored so that 1 + 3 G_N
+    cancels exactly at N = 1.
+    """
+    if metric == "p_1bit":
+        if tag != "three_mode":
+            return _p1bit_from_squares(re * re, im * im, g)
+        return 0.5 + 0.25 * ((1.0 - g) + np.sqrt(_clip_radicands((1.0 - g) * (1.0 + 3.0 * g))))
+    if tag == "three_mode":
+        bracket = 3.0 * np.sqrt(_clip_radicands(1.0 - g)) + np.sqrt(_clip_radicands(1.0 + 3.0 * g))
+        return bracket * bracket / 16.0
+    rc = np.sqrt(_clip_radicands(1.0 - 4.0 * (re * re)))
+    rs = np.sqrt(_clip_radicands(1.0 - 4.0 * (im * im)))
+    bracket = np.sqrt(1.0 + rc) + np.sqrt(1.0 + rs)
+    return bracket * bracket / 8.0
+
+
 @lru_cache(maxsize=None)
-def _subspace_table(tag: str, metric: str) -> tuple[float, ...]:
+def _subspace_table(tag: str, metric: str) -> np.ndarray:
     """s_N for N = 0..DEFAULT_N_CAP: the per-subspace success of a mixed metric.
 
     `metric` is "p_corr" (square-root measurement, optimal for symmetric pure
     states) or "p_1bit"; the vacuum entry is the random guess, 1/L among the
-    L states or 1/2 for one bit, and entry N is the metric's term at the
+    L states or 1/2 for one bit, and entry N is `_block_success` at the
     block overlaps `_block_overlaps`.  The table does not depend on |alpha|,
-    so it is built once per (family, metric).
+    so it is built once per (family, metric), and is read-only.
     """
-    if metric == "p_1bit":
-        vacuum, term = 0.5, _p1bit_subspace_term
-    else:
-        vacuum, term = 1.0 / len(FAMILIES[tag].orbit), _pcorr_subspace_term
-    return (vacuum, *(term(tag, re, im, g) for re, im, g in _block_overlaps(tag)))
-
-
-def _mixed_series(
-    tag: str, metric: str, alpha_abs: float, tail_tol: float
-) -> tuple[float, int]:
-    """Poisson series sum_N p_N s_N of a phase-randomized family.
-
-    The mean photon number is M |alpha|^2 for an M-mode family; terms are
-    summed left to right in N, so a point's value does not depend on the
-    grid it sits on.  Returns (value, number of terms).
-    """
-    weights = poisson_series(FAMILIES[tag].modes * _intensity(alpha_abs), tail_tol)
-    total = 0.0
-    for p_n, s_n in zip(weights, _subspace_table(tag, metric)):
-        total += p_n * s_n
-    return total, len(weights)
+    vacuum = 0.5 if metric == "p_1bit" else 1.0 / len(FAMILIES[tag].orbit)
+    re, im, g = np.array(_block_overlaps(tag)).T
+    table = np.concatenate(([vacuum], _block_success(tag, metric, re, im, g)))
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=4)
@@ -184,18 +213,17 @@ def _grid_weights(means: bytes, tail_tol: float) -> np.ndarray:
     return weights
 
 
-def _mixed_column(
-    tag: str, metric: str, alphas: np.ndarray, tail_tol: float
-) -> np.ndarray:
-    """`_mixed_series` values over a 1-D |alpha| grid, bit-identical per point.
+@_closed_form
+def _mixed_column(w, tag: str, metric: str, tail_tol: float):
+    """Poisson series sum_N p_N s_N of a phase-randomized family.
 
-    One shared `_grid_weights` pass per chunk of points; each row's terms
-    p_N s_N are summed left to right by np.add.accumulate, and the zero
-    weights past a row's truncation leave its sum unchanged.
+    The mean photon number is M |alpha|^2 for an M-mode family.  One shared
+    `_grid_weights` pass per chunk of points; each row's terms p_N s_N are
+    summed left to right by np.add.accumulate, and the zero weights past a
+    row's truncation leave its sum unchanged.
     """
-    with np.errstate(over="ignore"):  # M times the largest float is inf, as for a point
-        means = FAMILIES[tag].modes * _intensities(alphas)
-    table = np.array(_subspace_table(tag, metric))
+    means = FAMILIES[tag].modes * w  # M times the largest float is inf
+    table = _subspace_table(tag, metric)
     out = np.empty(means.size)
     for start in range(0, means.size, GRID_CHUNK):
         weights = _grid_weights(means[start : start + GRID_CHUNK].tobytes(), tail_tol)
@@ -204,58 +232,10 @@ def _mixed_column(
     return out
 
 
-def _grid(alpha_abs) -> np.ndarray | None:
-    """A 1-D |alpha| grid as a float array, or None for a single point.
-
-    A grid is checked before any point is evaluated: its first NaN or
-    negative entry raises the ValueError that point raises on its own.
-    """
-    if isinstance(alpha_abs, (float, int)) or np.ndim(alpha_abs) == 0:
-        return None
-    alphas = np.asarray(alpha_abs, dtype=float)
-    if alphas.ndim != 1:
-        raise ValueError(f"|alpha| grid has shape {alphas.shape}, not 1-D")
-    invalid = ~(alphas >= 0)
-    if invalid.any():
-        _intensity(float(alphas[np.argmax(invalid)]))
-    return alphas
-
-
-def _closed_form(kernel):
-    """Make kernel(ops, w, *args) of w = |alpha|^2 a function of |alpha|.
-
-    The function takes one |alpha| (and returns a float, with `_POINT_OPS`)
-    or a 1-D grid (checked first by `_grid`; returns an array, with
-    `_GRID_OPS`).  The kernel is one body of code for both, and every square
-    in it is x * x, so each grid entry is bit-identical to its point's
-    value.  numpy warns where a product overflows to inf and Python does
-    not, so a grid runs with overflow warnings off.  A grid whose kernel
-    raises InvalidOverlapError runs its points one at a time, so the error
-    raised is the first failing point's own.
-    """
-
-    @wraps(kernel)
-    def closed_form(alpha_abs, *args, **kwargs):
-        alphas = _grid(alpha_abs)
-        if alphas is None:
-            return kernel(_POINT_OPS, _intensity(alpha_abs), *args, **kwargs)
-        try:
-            with np.errstate(over="ignore"):
-                return kernel(_GRID_OPS, _intensities(alphas), *args, **kwargs)
-        except InvalidOverlapError:
-            for a in alphas.tolist():
-                kernel(_POINT_OPS, _intensity(a), *args, **kwargs)
-            raise
-
-    return closed_form
-
-
-def _mixed(tag: str, metric: str, alpha_abs, tail_tol: float):
-    """Mixed-series value at one point (scalar loop) or over a grid (column pass)."""
-    alphas = _grid(alpha_abs)
-    if alphas is None:
-        return _mixed_series(tag, metric, alpha_abs, tail_tol)[0]
-    return _mixed_column(tag, metric, alphas, tail_tol)
+def _mixed_pcorr(tag: str, alpha_abs: float, tail_tol: float) -> tuple[float, int]:
+    """(value, number of Poisson terms) of a mixed p_corr series at one |alpha|."""
+    value = _mixed_column(alpha_abs, tag, "p_corr", tail_tol)
+    return value, len(poisson_series(FAMILIES[tag].modes * (alpha_abs * alpha_abs), tail_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -267,21 +247,21 @@ def _mixed(tag: str, metric: str, alpha_abs, tail_tol: float):
 
 
 @_closed_form
-def two_mode_mixed_pcorr(m, w, p_min: float = 0.5):
+def two_mode_mixed_pcorr(w, p_min: float = 0.5):
     """Helstrom probability 1 - p_min exp(-2|alpha|^2) after phase randomization."""
     p = _normalized_prior(p_min)
-    return 1.0 - p * m.exp(-2.0 * w)
+    return 1.0 - p * _exp(-2.0 * w)
 
 
 @_closed_form
-def two_mode_pure_pcorr(m, w, p_min: float = 0.5):
+def two_mode_pure_pcorr(w, p_min: float = 0.5):
     """Helstrom probability for the pure two-mode states.
 
     1/2 + (1/2) sqrt(1 - 4 p (1-p) exp(-4|alpha|^2)).
     """
     p = _normalized_prior(p_min)
-    radicand = m.clip(1.0 - 4.0 * p * (1.0 - p) * m.exp(-4.0 * w))
-    return 0.5 + 0.5 * m.sqrt(radicand)
+    radicand = _clip_radicands(1.0 - 4.0 * p * (1.0 - p) * _exp(-4.0 * w))
+    return 0.5 + 0.5 * np.sqrt(radicand)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +277,13 @@ def three_mode_mixed_pcorr(
     (1/16) [3 sqrt(1 - G_N) + sqrt(1 + 3 G_N)]^2, where G_N = (-1/3)^N is
     the block overlap c_2^N.  Returns (value, number of terms).
     """
-    return _mixed_series("three_mode", "p_corr", alpha_abs, tail_tol)
+    return _mixed_pcorr("three_mode", alpha_abs, tail_tol)
 
 
 @_closed_form
-def three_mode_pure_pcorr(m, w):
+def three_mode_pure_pcorr(w):
     """Minimum-error probability (1/4) (1 + sqrt(1 - exp(-4|alpha|^2)))^2."""
-    bracket = 1.0 + m.sqrt(m.clip(1.0 - m.exp(-4.0 * w)))
+    bracket = 1.0 + np.sqrt(_clip_radicands(1.0 - _exp(-4.0 * w)))
     return 0.25 * (bracket * bracket)
 
 
@@ -312,29 +292,29 @@ def three_mode_pure_pcorr(m, w):
 
 
 @_closed_form
-def four_mode_mixed_pcorr(m, w):
+def four_mode_mixed_pcorr(w):
     """Minimum-error probability 1 - (3/4) exp(-4|alpha|^2).
 
     A single photon anywhere identifies the state; only the vacuum forces a
     one-in-four guess, so the series collapses to a closed form.
     """
-    return 1.0 - 0.75 * m.exp(-4.0 * w)
+    return 1.0 - 0.75 * _exp(-4.0 * w)
 
 
 @_closed_form
-def four_mode_unambiguous(m, w):
+def four_mode_unambiguous(w):
     """Unambiguous success probability 1 - exp(-4|alpha|^2)."""
-    return 1.0 - m.exp(-4.0 * w)
+    return 1.0 - _exp(-4.0 * w)
 
 
 @_closed_form
-def four_mode_pure_pcorr(m, w):
+def four_mode_pure_pcorr(w):
     """Minimum-error probability for the pure four-mode states.
 
     (1/16) (sqrt(1 + 3 e) + 3 sqrt(1 - e))^2 with e = exp(-4|alpha|^2).
     """
-    e = m.exp(-4.0 * w)
-    bracket = m.sqrt(1.0 + 3.0 * e) + 3.0 * m.sqrt(m.clip(1.0 - e))
+    e = _exp(-4.0 * w)
+    bracket = np.sqrt(1.0 + 3.0 * e) + 3.0 * np.sqrt(_clip_radicands(1.0 - e))
     return bracket * bracket / 16.0
 
 
@@ -354,28 +334,11 @@ def phase_encoded_mixed_pcorr(
     This same quantity is the receiver's full cheating probability b_ot.
     Returns (value, number of terms).
     """
-    return _mixed_series("phase_encoded", "p_corr", alpha_abs, tail_tol)
-
-
-def _pcorr_subspace_term(tag: str, re: float, im: float, g: float) -> float:
-    """Square-root-measurement success in an N-photon subspace (N >= 1).
-
-    The three-mode and phase-encoded brackets above, from the block overlaps
-    F_N = re + i im and G_N = g.
-    """
-    if tag == "three_mode":
-        bracket = 3.0 * math.sqrt(_clip_radicand(1.0 - g)) + math.sqrt(
-            _clip_radicand(1.0 + 3.0 * g)
-        )
-        return bracket**2 / 16.0
-    rc = _clip_radicand(1.0 - 4.0 * (re * re))
-    rs = _clip_radicand(1.0 - 4.0 * (im * im))
-    bracket = math.sqrt(1.0 + math.sqrt(rc)) + math.sqrt(1.0 + math.sqrt(rs))
-    return bracket**2 / 8.0
+    return _mixed_pcorr("phase_encoded", alpha_abs, tail_tol)
 
 
 @_closed_form
-def phase_encoded_pure_pcorr(m, w):
+def phase_encoded_pure_pcorr(w):
     """Minimum-error probability for the pure phase-encoded states.
 
     (e^{-w}/4) (sqrt(cosh w + sqrt(cosh^2 w - cos^2 w))
@@ -385,17 +348,17 @@ def phase_encoded_pure_pcorr(m, w):
     overflows (w > 355.58) the value has long been 1 to rounding, and 1 is
     returned.
     """
-    c, s = m.cos(w), m.sin(w)
+    c, s = _cos(w), _sin(w)
     # cosh and sinh raise past w = 710.47; cosh(710)^2 already overflows, so
     # past 710 the capped w gives the same 1 and every factor stays finite
-    capped = m.where(w > 710.0, 710.0, w)
-    ch, sh = m.cosh(capped), m.sinh(capped)
+    capped = np.where(w > 710.0, 710.0, w)
+    ch, sh = _cosh(capped), _sinh(capped)
     ch2 = ch * ch
-    first = m.sqrt(ch + m.sqrt(m.clip(ch2 - c * c)))
-    second = m.sqrt(sh + m.sqrt(m.clip(sh * sh - s * s)))
+    first = np.sqrt(ch + np.sqrt(_clip_radicands(ch2 - c * c)))
+    second = np.sqrt(sh + np.sqrt(_clip_radicands(sh * sh - s * s)))
     bracket = first + second
-    value = m.exp(-capped) * (bracket * bracket) / 4.0
-    return m.where(ch2 < math.inf, value, 1.0)
+    value = _exp(-capped) * (bracket * bracket) / 4.0
+    return np.where(ch2 < math.inf, value, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +390,7 @@ def family_pcorr(
     if variant == "mixed":
         if tag == "four_mode":
             return four_mode_mixed_pcorr(alpha_abs)
-        return _mixed(tag, "p_corr", alpha_abs, tail_tol)
+        return _mixed_column(alpha_abs, tag, "p_corr", tail_tol)
     pure = {
         "three_mode": three_mode_pure_pcorr,
         "four_mode": four_mode_pure_pcorr,
@@ -483,43 +446,41 @@ def p1bit_from_overlaps(f_overlap: complex, g_overlap: float) -> float:
     g = float(g_overlap)
     if abs(f) > 1.0 + 1e-12 or abs(g) > 1.0 + 1e-12:
         raise InvalidOverlapError(f"overlaps |F|={abs(f)}, |G|={g} exceed 1")
-    return _p1bit_from_squares(_POINT_OPS, f.real * f.real, f.imag * f.imag, g)
+    squares = (np.array([x]) for x in (f.real * f.real, f.imag * f.imag, g))
+    return float(_p1bit_from_squares(*squares)[0])
 
 
-def _p1bit_from_squares(m, re2, im2, g):
-    """`p1bit_from_overlaps` in terms of (Re F)^2, (Im F)^2 and G.
-
-    Floats, or arrays of one grid's values entry by entry.
-    """
+def _p1bit_from_squares(re2, im2, g):
+    """`p1bit_from_overlaps` in terms of (Re F)^2, (Im F)^2 and G, entry by entry."""
     one_plus, one_minus = 1.0 + g, 1.0 - g
     r = one_plus * one_plus * im2 + one_minus * one_minus * re2 - 4.0 * re2 * im2
-    root = m.sqrt(m.clip(r))
+    root = np.sqrt(_clip_radicands(r))
     g2 = g * g
-    plus = m.sqrt(m.clip(1.0 - g2 + 2.0 * root))
-    minus = m.sqrt(m.clip(1.0 - g2 - 2.0 * root))
+    plus = np.sqrt(_clip_radicands(1.0 - g2 + 2.0 * root))
+    minus = np.sqrt(_clip_radicands(1.0 - g2 - 2.0 * root))
     return 0.5 * (1.0 + 0.5 * plus + 0.5 * minus)
 
 
-def _pure_overlap_parts(m, tag: str, w):
-    """(Re F, Im F, G) of the pure overlaps at w = |alpha|^2, a float or an array.
+def _pure_overlap_parts(tag: str, w):
+    """(Re F, Im F, G) of the pure overlaps at each entry of w = |alpha|^2.
 
     <a_0|a_k> = exp(-(M - Re z_k) w) e^{i Im z_k w} from the family row z_k,
     with exact integer coefficients; G is real, as in `_subspace_table`.
     """
     family = FAMILIES[tag]
     (f_re, f_im), (g_re, _) = family.gram_row[1:3]
-    decay = m.exp(-(family.modes - f_re) * w)
-    g = m.exp(-(family.modes - g_re) * w)
+    decay = _exp(-(family.modes - f_re) * w)
+    g = _exp(-(family.modes - g_re) * w)
     if not f_im:
         return decay, 0.0, g
-    return decay * m.cos(f_im * w), decay * m.sin(f_im * w), g
+    return decay * _cos(f_im * w), decay * _sin(f_im * w), g
 
 
 @_closed_form
-def _pure_p1bit(m, w, tag: str):
+def _pure_p1bit(w, tag: str):
     """Pure-state p_1bit of a four-state family: the overlap formula."""
-    re, im, g = _pure_overlap_parts(m, tag, w)
-    return _p1bit_from_squares(m, re * re, im * im, g)
+    re, im, g = _pure_overlap_parts(tag, w)
+    return _p1bit_from_squares(re * re, im * im, g)
 
 
 def _gaussian_power(z: tuple[int, int], n: int) -> tuple[int, int]:
@@ -551,18 +512,6 @@ def subspace_overlaps(family, photons: int) -> np.ndarray:
     return np.array([complex(re / scale, im / scale) for re, im in powers])
 
 
-def _p1bit_subspace_term(tag: str, re: float, im: float, g: float) -> float:
-    """One-bit Helstrom success in an N-photon subspace (N >= 1).
-
-    From the block overlaps F_N = re + i im and G_N = g.  The three-mode
-    radicand stays factored, so 1 + 3 G_N cancels exactly at N = 1.
-    """
-    if tag == "three_mode":
-        root = math.sqrt(_clip_radicand((1.0 - g) * (1.0 + 3.0 * g)))
-        return 0.5 + 0.25 * ((1.0 - g) + root)
-    return _p1bit_from_squares(_POINT_OPS, re * re, im * im, g)
-
-
 def family_p1bit(family, variant: str, alpha_abs, tail_tol: float = DEFAULT_TAIL_TOL):
     """Probability that an honest receiver learns their chosen bit.
 
@@ -578,7 +527,7 @@ def family_p1bit(family, variant: str, alpha_abs, tail_tol: float = DEFAULT_TAIL
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "pure":
         return _pure_p1bit(alpha_abs, tag)
-    return _mixed(tag, "p_1bit", alpha_abs, tail_tol)
+    return _mixed_column(alpha_abs, tag, "p_1bit", tail_tol)
 
 
 def family_bot(family, variant: str, alpha_abs, tail_tol: float = DEFAULT_TAIL_TOL):
@@ -598,20 +547,37 @@ def family_bot(family, variant: str, alpha_abs, tail_tol: float = DEFAULT_TAIL_T
 # phase-encoded mixed-vs-pure crossover
 
 
-def _invert_monotone(fn, target: float, lo: float, hi: float, iterations: int = 80) -> float:
-    """Bisection inverse of a non-decreasing function on [lo, hi].
+def _bracketed_root(fn, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """A root of fn in [lo, hi] by Illinois regula falsi (Dowell & Jarratt 1971).
 
-    Stops early once a step leaves (lo, hi) unchanged: the midpoint then
-    rounds to an end, so every later step would repeat it, and the result is
-    the one all `iterations` steps give.
+    f_lo = fn(lo) and f_hi = fn(hi) differ in sign.  Each step evaluates fn at
+    the secant point of the bracket (the midpoint where that rounds onto an
+    end) and keeps the part where fn changes sign; an end kept twice in a row
+    has its value halved, so that it moves too.  Stops where fn is exactly 0,
+    once the bracket is four ulps wide, or after 100 steps, and returns the
+    last point evaluated (the midpoint of a bracket that starts that narrow).
     """
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        bracket = (mid, hi) if fn(mid) < target else (lo, mid)
-        if bracket == (lo, hi):
+    if f_lo == 0.0 or f_hi == 0.0:
+        return lo if f_lo == 0.0 else hi
+    x, kept = 0.5 * (lo + hi), None
+    for _ in range(100):
+        if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
             break
-        lo, hi = bracket
-    return 0.5 * (lo + hi)
+        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        f_x = fn(x)
+        if f_x == 0.0:
+            break
+        if (f_x < 0.0) == (f_lo < 0.0):
+            lo, f_lo = x, f_x
+            f_hi *= 0.5 if kept == "hi" else 1.0
+            kept = "hi"
+        else:
+            hi, f_hi = x, f_x
+            f_lo *= 0.5 if kept == "lo" else 1.0
+            kept = "lo"
+    return x
 
 
 def phase_encoded_ot_crossover() -> tuple[tuple[float, float], ...]:
@@ -621,44 +587,43 @@ def phase_encoded_ot_crossover() -> tuple[tuple[float, float], ...]:
     which b_ot(mixed) < b_ot(pure) at equal p_1bit, in increasing order.
 
     Both (p_1bit, b_ot) curves are parametric in |alpha| and monotone in it.
-    A coarse interpolated scan locates candidate p_1bit intervals where the
-    mixed curve lies below the pure one; each candidate is then confirmed by
-    exact bisection inversion of both p_1bit curves at its deepest point
-    (interpolation noise near p_1bit = 1/2, where the curves launch from a
-    common point, cannot survive that check), and the confirmed interval
-    endpoints are refined the same way.  The scan takes 801 points of
-    |alpha| in [0, 4]; a candidate needs an exact advantage of 1e-9.
+    A coarse interpolated scan of 801 points of |alpha| in [0, 4] locates
+    candidate p_1bit intervals where the mixed curve lies below the pure
+    one.  Each candidate is then confirmed by the exact advantage at its
+    deepest point, which must reach 1e-9 (interpolation noise near
+    p_1bit = 1/2, where the curves launch from a common point, cannot
+    survive that check), and its inner endpoints are refined to roots of
+    the exact advantage.  The exact advantage is taken at the p_1bit of the
+    pure states at one |alpha|, so only the mixed curve is inverted there;
+    every inversion and every root is one `_bracketed_root` call, an
+    inversion inside the scan cell that brackets its p_1bit.
     """
-    alpha_max, grid_points = 4.0, 801
-
-    # the bisections of nearby targets share their first midpoints, so each
-    # single |alpha| is evaluated once
-    @lru_cache(maxsize=None)
-    def pure_p_of(a: float) -> float:
-        return family_p1bit("phase_encoded", "pure", a)
-
-    @lru_cache(maxsize=None)
-    def mixed_p_of(a: float) -> float:
-        return family_p1bit("phase_encoded", "mixed", a)
-
-    def exact_advantage(v: float) -> float:
-        a_pure = _invert_monotone(pure_p_of, v, 0.0, alpha_max)
-        a_mixed = _invert_monotone(mixed_p_of, v, 0.0, alpha_max)
-        return family_bot("phase_encoded", "pure", a_pure) - family_bot(
-            "phase_encoded", "mixed", a_mixed
-        )
-
-    alphas = np.linspace(0.0, alpha_max, grid_points)
+    alphas = np.linspace(0.0, 4.0, 801)
     pure_p = family_p1bit("phase_encoded", "pure", alphas)
     pure_b = family_bot("phase_encoded", "pure", alphas)
     mixed_p = family_p1bit("phase_encoded", "mixed", alphas)
     mixed_b = family_bot("phase_encoded", "mixed", alphas)
 
+    def inverse(variant: str, scan: np.ndarray, v: float) -> float:
+        """|alpha| where the p_1bit of `variant` is v, within one scan cell."""
+        i = min(max(int(np.searchsorted(scan, v)), 1), len(scan) - 1)
+        a_lo, a_hi = alphas[i - 1 : i + 1].tolist()
+        f_lo, f_hi = (scan[i - 1 : i + 1] - v).tolist()
+        fn = lambda a: family_p1bit("phase_encoded", variant, a) - v  # noqa: E731
+        return _bracketed_root(fn, a_lo, a_hi, f_lo, f_hi)
+
+    def advantage(a: float) -> float:
+        """b_ot(pure) - b_ot(mixed) at the p_1bit of the pure states at |alpha| = a."""
+        a_mixed = inverse("mixed", mixed_p, family_p1bit("phase_encoded", "pure", a))
+        return family_bot("phase_encoded", "pure", a) - family_bot(
+            "phase_encoded", "mixed", a_mixed
+        )
+
     lo = max(pure_p[0], mixed_p[0])
     hi = min(pure_p[-1], mixed_p[-1])
-    grid = np.linspace(lo, hi, grid_points)
-    advantage = np.interp(grid, pure_p, pure_b) - np.interp(grid, mixed_p, mixed_b)
-    below = advantage > 0.0
+    grid = np.linspace(lo, hi, len(alphas))
+    scanned = np.interp(grid, pure_p, pure_b) - np.interp(grid, mixed_p, mixed_b)
+    below = scanned > 0.0
 
     candidates: list[tuple[int, int]] = []
     start_idx = None
@@ -673,22 +638,19 @@ def phase_encoded_ot_crossover() -> tuple[tuple[float, float], ...]:
 
     intervals: list[tuple[float, float]] = []
     for i0, i1 in candidates:
-        peak = i0 + int(np.argmax(advantage[i0 : i1 + 1]))
-        if exact_advantage(float(grid[peak])) < 1e-9:
+        peak = i0 + int(np.argmax(scanned[i0 : i1 + 1]))
+        a_peak = inverse("pure", pure_p, float(grid[peak]))
+        f_peak = advantage(a_peak)
+        if f_peak < 1e-9:
             continue
-        lower = float(grid[i0])
+        lower, upper = float(grid[i0]), float(grid[i1])
         if i0 > 0:
-            lower = _invert_monotone(
-                exact_advantage, 0.0, float(grid[i0 - 1]), float(grid[peak]), 40
-            )
-        upper = float(grid[i1])
+            a = inverse("pure", pure_p, float(grid[i0 - 1]))
+            a = _bracketed_root(advantage, a, a_peak, advantage(a), f_peak)
+            lower = family_p1bit("phase_encoded", "pure", a)
         if i1 < len(grid) - 1:
-            upper = _invert_monotone(
-                lambda v: -exact_advantage(v),
-                0.0,
-                float(grid[peak]),
-                float(grid[i1 + 1]),
-                40,
-            )
+            a = inverse("pure", pure_p, float(grid[i1 + 1]))
+            a = _bracketed_root(advantage, a_peak, a, f_peak, advantage(a))
+            upper = family_p1bit("phase_encoded", "pure", a)
         intervals.append((lower, upper))
     return tuple(intervals)

@@ -76,7 +76,7 @@ def poisson_series(
     """Poisson weights p_N = exp(-mean) mean^N / N! for N = 0, 1, ...
 
     With `n_max`, returns p_0..p_n_max.  Otherwise stops at the smallest
-    n_max whose tail mass beyond it is below `tail_tol` and raises
+    n_max whose tail mass beyond it is below `tail_tol`.  Either way raises
     CapacityError past DEFAULT_N_CAP.  Every weight comes from the
     recurrence p_N = p_{N-1} mean / N, so one point's series is
     bit-identical however it is reached.  Raises CapacityError when
@@ -86,6 +86,8 @@ def poisson_series(
         raise ValueError(f"mean photon number {mean} is not a number >= 0")
     if n_max is not None and operator.index(n_max) < 0:  # refuses 2.5
         raise ValueError(f"truncation photon number {n_max} is negative")
+    if n_max is not None and n_max > DEFAULT_N_CAP:
+        raise CapacityError(f"truncation photon number {n_max} exceeds cap {DEFAULT_N_CAP}")
     if n_max is None:
         check_tail_tol(tail_tol, "tail_tol")
     term = math.exp(-mean)

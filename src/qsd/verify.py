@@ -221,25 +221,24 @@ def suite_families() -> list[CheckResult]:
     results.append(_check("families.qutrit_srm", abs(success - 0.75), 1e-10))
 
     # series route vs Gram-eigenvalue route
+    alphas = (0.3, 0.7, 1.2)
+    mixed = {tag: disc.family_pcorr(tag, "mixed", alphas) for tag in disc.COHERENT_FAMILIES}
     worst = 0.0
     for tag in disc.COHERENT_FAMILIES:
-        for alpha in (0.3, 0.7, 1.2):
+        for alpha, closed in zip(alphas, mixed[tag]):
             series = phase_rand.decompose(SymmetricFamilySpec(tag, alpha))
             via_gram = sum(
                 p * symmetric.srm_success_from_gram(g)
                 for p, g in zip(series.weights, series.per_n_gram)
             )
-            closed = disc.family_pcorr(tag, "mixed", alpha)
             worst = max(worst, abs(via_gram - closed))
     results.append(_check("families.series_vs_gram_route", worst, 1e-10))
 
     # closed forms vs the brute-force block oracle
     worst = 0.0
     for tag in disc.COHERENT_FAMILIES:
-        for alpha in (0.3, 0.7, 1.2):
-            block = _block_srm_success(tag, alpha)
-            closed = disc.family_pcorr(tag, "mixed", alpha)
-            worst = max(worst, abs(block - closed))
+        for alpha, closed in zip(alphas, mixed[tag]):
+            worst = max(worst, abs(_block_srm_success(tag, alpha) - closed))
     results.append(_check("families.closed_form_vs_block_srm", worst, 1e-8))
 
     # curve shape: start at guessing, rise monotonically, saturate; mixed <= pure
@@ -347,14 +346,13 @@ def suite_appendix_a() -> list[CheckResult]:
 
 def suite_appendix_b() -> list[CheckResult]:
     results = []
+    alphas = (0.2, 0.8)
+    closed = {p0: disc.two_mode_mixed_pcorr(alphas, p0) for p0 in (0.5, 0.3)}
     worst_hel = worst_equal = worst_offvac = worst_split = 0.0
     for p0 in (0.5, 0.3):
-        for alpha in (0.2, 0.8):
+        for alpha, p_corr in zip(alphas, closed[p0]):
             report = oracle.verify_appendix_b(alpha, p0)
-            worst_hel = max(
-                worst_hel,
-                abs(report.helstrom_success - disc.two_mode_mixed_pcorr(alpha, p0)),
-            )
+            worst_hel = max(worst_hel, abs(report.helstrom_success - p_corr))
             worst_offvac = max(worst_offvac, report.off_vacuum_distance)
             worst_split = max(
                 worst_split,
@@ -371,7 +369,7 @@ def suite_appendix_b() -> list[CheckResult]:
     # per-block blind check of the mixed two-mode family against the closed form
     worst = 0.0
     for p0 in (0.5, 0.3):
-        for alpha in (0.2, 0.8):
+        for alpha, closed_p_corr in zip(alphas, closed[p0]):
             spec = SymmetricFamilySpec("two_mode", alpha)
             n_max = phase_rand.truncation_photon_number(
                 spec.mean_photons, phase_rand.DEFAULT_TAIL_TOL
@@ -379,7 +377,7 @@ def suite_appendix_b() -> list[CheckResult]:
             rho0 = phase_rand.mixed_state_matrix(spec, "0", n_max)
             rho1 = phase_rand.mixed_state_matrix(spec, "1", n_max)
             _povm, p_corr = oracle.helstrom_two(rho0, rho1, p0)
-            worst = max(worst, abs(p_corr - disc.two_mode_mixed_pcorr(alpha, p0)))
+            worst = max(worst, abs(p_corr - closed_p_corr))
     results.append(_check("appendix_b.helstrom_original_basis", worst, 1e-8))
     return results
 
@@ -429,23 +427,14 @@ def suite_circuit() -> list[CheckResult]:
 
     # circuit minimum-error success equals the closed forms
     worst2 = worst4 = 0.0
-    for alpha in np.linspace(0.0, 2.0, 41):
+    alphas = np.linspace(0.0, 2.0, 41)
+    closed2 = disc.two_mode_mixed_pcorr(alphas, 0.5)
+    closed4 = disc.four_mode_mixed_pcorr(alphas)
+    for alpha, p2, p4 in zip(alphas, closed2, closed4):
         s2 = SymmetricFamilySpec("two_mode", alpha)
         s4 = SymmetricFamilySpec("four_mode", alpha)
-        worst2 = max(
-            worst2,
-            abs(
-                optics.min_error_via_circuit(bs2, s2)
-                - disc.two_mode_mixed_pcorr(alpha, 0.5)
-            ),
-        )
-        worst4 = max(
-            worst4,
-            abs(
-                optics.min_error_via_circuit(fig3, s4)
-                - disc.four_mode_mixed_pcorr(alpha)
-            ),
-        )
+        worst2 = max(worst2, abs(optics.min_error_via_circuit(bs2, s2) - p2))
+        worst4 = max(worst4, abs(optics.min_error_via_circuit(fig3, s4) - p4))
     results.append(_check("circuit.bs2_matches_closed_form", worst2, 1e-12))
     results.append(_check("circuit.fig3_matches_closed_form", worst4, 1e-12))
 

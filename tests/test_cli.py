@@ -434,6 +434,39 @@ class TestVerify:
         assert code == 1
         assert "FAIL  forced.fail" in out
 
+    @staticmethod
+    def stub_suites(monkeypatch, **suites):
+        """Replace every suite by one passing row `<suite>.ok`, or by `suites[name]`."""
+        from qsd import verify
+
+        for name in verify.SUITE_NAMES:
+            row = [verify.CheckResult(f"{name}.ok", 0.0, verify.BOOLEAN_TOL)]
+            monkeypatch.setattr(verify, f"suite_{name}", suites.get(name, lambda row=row: row))
+
+    def test_raising_suite_is_one_fail_row_and_the_rest_still_run(self, capsys, monkeypatch):
+        def broken():
+            raise ZeroDivisionError("float division by zero")
+
+        self.stub_suites(monkeypatch, gram=broken)
+        code, out, err = run(["verify", "all"], capsys)
+        assert code == 1
+        assert err == "error: suite gram raised ZeroDivisionError: float division by zero\n"
+        assert out.splitlines() == [
+            "PASS  fock.ok  0.000e+00",
+            "FAIL  gram.raised  inf",
+            "PASS  families.ok  0.000e+00",
+            "PASS  appendix_a.ok  0.000e+00",
+            "PASS  appendix_b.ok  0.000e+00",
+            "PASS  circuit.ok  0.000e+00",
+            "# 5/6 checks passed",
+        ]
+
+    def test_rows_are_written_as_each_suite_finishes(self, capsys, monkeypatch):
+        seen = []
+        self.stub_suites(monkeypatch, gram=lambda: seen.append(capsys.readouterr().out) or [])
+        assert run(["verify", "all"], capsys)[0] == 0
+        assert seen == ["PASS  fock.ok  0.000e+00\n"]  # before the gram suite ran
+
 
 class TestCircuit:
     def test_fig3_state_00(self, capsys):

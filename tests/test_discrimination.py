@@ -121,8 +121,9 @@ class TestThreeMode:
         g = row[2].real
         assert abs(g) < 1e-308 and (g <= 0.0 if n % 2 else g >= 0.0)
         assert np.isfinite(row).all() and row[0] == 1.0
-        for term in (disc._pcorr_subspace_term, disc._p1bit_subspace_term):
-            assert term("three_mode", row[1].real, row[1].imag, g) == 1.0
+        f = row[1:2]
+        for metric in ("p_corr", "p_1bit"):
+            assert disc._block_success("three_mode", metric, f.real, f.imag, np.array([g])) == 1.0
 
 
 class TestFourMode:
@@ -338,10 +339,16 @@ class TestDeltaAndShapes:
         assert intervals
         assert 0.7 <= intervals[0][0] <= 0.9
 
-    def test_crossover_report_equals_fixed_step_bisection(self, monkeypatch):
-        intervals = disc.phase_encoded_ot_crossover()
-        monkeypatch.setattr(disc, "_invert_monotone", fixed_step_inverse)
-        assert disc.phase_encoded_ot_crossover() == intervals
+    def test_crossover_endpoints_and_evaluation_count(self, monkeypatch):
+        calls = []
+        for name in ("family_p1bit", "family_bot"):
+            fn = getattr(disc, name)
+            monkeypatch.setattr(disc, name, lambda *a, fn=fn, **k: calls.append(a) or fn(*a, **k))
+        (lower, upper), = disc.phase_encoded_ot_crossover()
+        assert len(calls) <= 400
+        # the nested 80-step bisections it replaced read 0.7512232227567601
+        assert abs(lower - 0.7512232227567601) < 1e-12
+        assert upper == 0.9999999718577756  # the scan's last p_1bit: no refinement
 
     def test_delta_max_equals_single_point_scan(self):
         for tag in disc.COHERENT_FAMILIES:
@@ -405,14 +412,15 @@ SERIES_TABLES = [("p_corr", "three_mode"), ("p_corr", "phase_encoded")] + [
 
 @pytest.mark.parametrize("metric, tag", SERIES_TABLES)
 def test_subspace_table_is_the_term_at_each_blocks_overlaps(metric, tag):
-    # the shared (Re F_N, Im F_N, G_N) sequence gives every entry bit for bit
-    term = {"p_corr": disc._pcorr_subspace_term, "p_1bit": disc._p1bit_subspace_term}[metric]
+    # the shared (Re F_N, Im F_N, G_N) sequence gives every entry bit for bit:
+    # the array kernel at one block's overlaps is that block's entry
     table = disc._subspace_table(tag, metric)
     assert len(table) == phase_rand.DEFAULT_N_CAP + 1
+    assert not table.flags.writeable
     for n in range(1, phase_rand.DEFAULT_N_CAP + 1):
-        _one, f, g = disc.subspace_overlaps(tag, n).tolist()[:3]
-        expected = term(tag, f.real, f.imag, g.real)
-        assert table[n].hex() == expected.hex(), n
+        f, g = disc.subspace_overlaps(tag, n)[1:3]
+        expected = disc._block_success(tag, metric, f.real, f.imag, g.real)
+        assert table[n].hex() == float(expected).hex(), n
 
 
 def test_overlap_functions_name_no_family():
@@ -429,41 +437,55 @@ def test_overlap_functions_name_no_family():
     assert found == {"subspace_overlaps", "_pure_overlap_parts", "_block_overlaps"}
 
 
-def fixed_step_inverse(fn, target, lo, hi, iterations=80):
-    """The bisection with every one of its `iterations` steps taken."""
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _counted(fn, calls):
+    return lambda x: calls.append(x) or fn(x)
 
 
-class TestInvertMonotone:
+class TestBracketedRoot:
     @pytest.mark.parametrize(
-        "fn, target, lo, hi",
+        "fn, lo, hi",
         [
-            (math.sin, 0.3, 0.0, 1.5),
-            (lambda x: x**3, 8.0, 0.0, 4.0),
-            (lambda x: 0.0 if x < 0.7 else 1.0, 0.5, 0.0, 4.0),  # step function
-            (lambda x: 0.0 if x < 0.7 else 1.0, 0.5, 1.0, 4.0),  # step left of [lo, hi]
+            (lambda x: math.sin(x) - 0.3, 0.0, 1.5),
+            (lambda x: 8.0 - x * x * x, 0.0, 4.0),  # decreasing
+            (lambda x: math.exp(x) - 2.0, -3.0, 3.0),
         ],
-        ids=["sin", "cube", "step", "step_outside"],
+        ids=["sin", "cube", "exp"],
     )
-    @pytest.mark.parametrize("iterations", (40, 80))
-    def test_early_stop_gives_the_fixed_step_result(self, fn, target, lo, hi, iterations):
+    def test_returns_a_point_inside_the_bracket(self, fn, lo, hi):
         calls = []
+        x = disc._bracketed_root(_counted(fn, calls), lo, hi, fn(lo), fn(hi))
+        assert lo <= x <= hi
+        assert len(calls) < 20  # superlinear: bisection would take about 55
 
-        def counted(x):
-            calls.append(x)
-            return fn(x)
+    def test_stops_where_f_is_zero(self):
+        calls = []
+        fn = _counted(lambda x: x - 1.0, calls)  # the first secant point is the root
+        assert disc._bracketed_root(fn, 0.0, 4.0, -1.0, 3.0) == 1.0
+        assert calls == [1.0]
+        assert disc._bracketed_root(fn, 1.0, 4.0, 0.0, 3.0) == 1.0
+        assert disc._bracketed_root(fn, 0.0, 1.0, -1.0, 0.0) == 1.0
+        assert calls == [1.0]  # a zero at an end needs no evaluation
 
-        expected = fixed_step_inverse(fn, target, lo, hi, iterations)
-        assert disc._invert_monotone(counted, target, lo, hi, iterations) == expected
-        assert len(calls) <= iterations
-        if iterations == 80:  # a bracket away from 0 stalls after about 54 halvings
-            assert len(calls) < 80
+    def test_inverts_a_monotone_function_to_a_few_ulps(self):
+        # x^3 = 2 on [1, 2]: the root is the float cube root of 2
+        root = 2.0 ** (1.0 / 3.0)
+        x = disc._bracketed_root(lambda x: x * x * x - 2.0, 1.0, 2.0, -1.0, 6.0)
+        assert abs(x - root) <= 4 * math.ulp(root)
+
+    @pytest.mark.parametrize(
+        "fn, lo, hi",
+        [
+            (lambda x: -1.0 if x < 0.7 else 1.0, 0.0, 4.0),  # a step
+            (lambda x: -1e-300 if x < 3.99 else 1.0, 0.0, 4.0),  # flat, then a jump
+            (lambda x: max(x - 3.0, 0.0) ** 9 - 1e-300, 0.0, 4.0),  # flat at the root
+        ],
+        ids=["step", "flat_then_jump", "flat_root"],
+    )
+    def test_terminates_on_a_flat_function(self, fn, lo, hi):
+        calls = []
+        x = disc._bracketed_root(_counted(fn, calls), lo, hi, fn(lo), fn(hi))
+        assert lo <= x <= hi
+        assert len(calls) <= 100
 
 
 @pytest.mark.parametrize("alpha", (30.0, 1e200, math.inf))
@@ -487,8 +509,10 @@ class TestLargeAlphaLimits:
     def test_pure_overlaps_vanish(self, alpha):
         # exact zeros, so p_1bit is that of orthogonal states
         for tag in FOUR_STATE:
-            w = disc._intensity(alpha)
-            assert disc._pure_overlap_parts(disc._POINT_OPS, tag, w) == (0.0, 0.0, 0.0)
+            w = disc._intensities(np.array([alpha]))
+            with np.errstate(over="ignore"):  # as `_closed_form` runs a kernel
+                parts = disc._pure_overlap_parts(tag, w)
+            assert [float(np.max(np.abs(x))) for x in parts] == [0.0] * 3
             assert disc.family_p1bit(tag, "pure", alpha) == disc.p1bit_from_overlaps(0, 0)
 
     def test_mixed_series_hit_the_cap(self, alpha):

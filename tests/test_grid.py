@@ -1,4 +1,8 @@
-"""Grid (column) evaluation against single-point evaluation, bit for bit."""
+"""Grid (column) evaluation against single points, bit for bit.
+
+A single point runs as a one-entry grid, so these pin that a value does not
+depend on the grid around it.
+"""
 
 import io
 import math
@@ -86,10 +90,34 @@ def test_column_equals_single_points_where_pow_differs(metric, family, variant):
     assert_column_matches_points(fn, POW_SQUARE_DIFFERS)
 
 
+#: Every public function of one |alpha| (or of overlaps) that returns a value.
+SINGLE_POINT = {
+    "two_mode_mixed_pcorr": lambda a: disc.two_mode_mixed_pcorr(a, 0.3),
+    "two_mode_pure_pcorr": lambda a: disc.two_mode_pure_pcorr(a, 0.3),
+    "three_mode_pure_pcorr": disc.three_mode_pure_pcorr,
+    "four_mode_mixed_pcorr": disc.four_mode_mixed_pcorr,
+    "four_mode_pure_pcorr": disc.four_mode_pure_pcorr,
+    "phase_encoded_pure_pcorr": disc.phase_encoded_pure_pcorr,
+    "three_mode_mixed_pcorr": lambda a: disc.three_mode_mixed_pcorr(a)[0],
+    "phase_encoded_mixed_pcorr": lambda a: disc.phase_encoded_mixed_pcorr(a)[0],
+    "four_mode_unambiguous": disc.four_mode_unambiguous,
+    "delta_pcorr": lambda a: disc.delta_pcorr("three_mode", a),
+    "p1bit_from_overlaps": lambda a: disc.p1bit_from_overlaps(0.5j * a, -0.25 * a),
+} | {
+    f"{metric} {family} {variant}": lambda a, m=metric, f=family, v=variant: FUNCTIONS[m](
+        f, v, a, phase_rand.DEFAULT_TAIL_TOL
+    )
+    for metric, family, variant in SERIES
+}
+
+
 def test_float_in_float_out():
-    for family in ("three_mode", "phase_encoded"):
-        assert type(disc.family_pcorr(family, "mixed", 0.7)) is float
-        assert type(disc.family_p1bit(family, "mixed", 0.7)) is float
+    # a single point runs as a one-entry grid and comes back a Python float,
+    # from a Python float, an int or a numpy scalar alike
+    for name, fn in SINGLE_POINT.items():
+        for alpha in (0.7, 1, np.float64(0.7)):
+            assert type(fn(alpha)) is float, (name, alpha)
+        assert fn(np.float64(0.7)) == fn(0.7), name
 
 
 def test_unambiguous_column_equals_single_points():
@@ -265,10 +293,11 @@ class TestGridWeightsMemo:
         default = disc.family_p1bit("phase_encoded", "mixed", SWEEP)
         loose = disc.family_p1bit("phase_encoded", "mixed", SWEEP, 1e-6)
         assert not np.array_equal(loose, default)
-        points = [disc.family_p1bit("phase_encoded", "mixed", a, 1e-6) for a in SWEEP.tolist()]
-        assert np.array_equal(loose, points)
         assert disc.family_p1bit("phase_encoded", "mixed", SWEEP).tobytes() == default.tobytes()
         assert disc._grid_weights.cache_info().misses == 2
+        # each single point is a one-entry pass of its own
+        points = [disc.family_p1bit("phase_encoded", "mixed", a, 1e-6) for a in SWEEP.tolist()]
+        assert np.array_equal(loose, points)
 
     def test_memo_stays_within_its_bound(self):
         disc._grid_weights.cache_clear()
@@ -374,7 +403,7 @@ def test_closed_form_edges(name, fn, guess, limit):
 
 def test_intensity_saturates_at_the_largest_float():
     squares = disc._intensities(np.array(EDGE_GRID))
-    assert squares.tolist() == [disc._intensity(a) for a in EDGE_GRID]
+    assert squares.tolist() == [min(a * a, sys.float_info.max) for a in EDGE_GRID]
     assert squares[-3:].tolist() == [sys.float_info.max] * 3
     assert squares[-4] == SQUARE_BORDER * SQUARE_BORDER < sys.float_info.max
 
@@ -383,8 +412,8 @@ def test_column_raises_first_failing_points_overlap_error():
     # the first radicand fails at |alpha| = 1.5 only, the second at 0.1 only:
     # a column evaluated radicand by radicand would report 1.5
     @disc._closed_form
-    def kernel(m, w):
-        return m.sqrt(m.clip(1.0 - w)) + m.sqrt(m.clip(w - 0.25))
+    def kernel(w):
+        return np.sqrt(disc._clip_radicands(1.0 - w)) + np.sqrt(disc._clip_radicands(w - 0.25))
 
     alphas = [0.9, 0.1, 1.5]
     with pytest.raises(disc.InvalidOverlapError) as point:

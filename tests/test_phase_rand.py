@@ -76,8 +76,18 @@ class TestTruncation:
 
     def test_underflowing_mean_raises(self):
         # exp(-800) underflows to 0.0; the recurrence would return all zeros
-        with pytest.raises(fock.CapacityError):
-            phase_rand.poisson_weights(800.0, 900)
+        with pytest.raises(fock.CapacityError, match="underflows"):
+            phase_rand.poisson_weights(800.0, 100)
+
+    def test_explicit_n_max_past_the_cap_raises(self):
+        # every weight past N = 177 of a mean-1 series is exactly 0.0
+        cap = phase_rand.DEFAULT_N_CAP
+        assert len(phase_rand.poisson_series(1.0, n_max=cap)) == cap + 1
+        for series in (phase_rand.poisson_series, phase_rand.poisson_weights):
+            with pytest.raises(fock.CapacityError, match=f"{cap + 1} exceeds cap {cap}"):
+                series(1.0, n_max=cap + 1)
+        with pytest.raises(fock.CapacityError, match=f"exceeds cap {cap}"):
+            phase_rand.poisson_series(1.0, n_max=10**6)
 
     def test_weights_formula(self):
         weights = phase_rand.poisson_weights(3.0, 20)
