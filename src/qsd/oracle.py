@@ -23,10 +23,6 @@ from .phase_rand import DEFAULT_TAIL_TOL, CoherentStateVector
 #: Eigenvalue magnitude below which a Helstrom difference operator is "zero".
 SIGN_THRESHOLD = 1e-12
 
-#: Gram-Schmidt residual, relative to the vector's norm, below which a vector
-#: adds nothing to the span.
-RANK_TOLERANCE = 1e-12
-
 
 @dataclass(frozen=True)
 class Povm:
@@ -63,13 +59,21 @@ def _as_density_matrix(state: np.ndarray) -> np.ndarray:
     return fock.check_hermitian(state)
 
 
+def _column_projector(columns: np.ndarray) -> np.ndarray:
+    """Exactly Hermitian projector onto orthonormal `columns`."""
+    out = columns @ columns.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
 def srm(states: Sequence[np.ndarray], priors: Sequence[float]) -> tuple[Povm, float]:
     """Square-root measurement for arbitrary density matrices.
 
     Builds rho = sum_i p_i rho_i, takes rho^(-1/2) on its support, and returns
     the POVM pi_i = rho^(-1/2) p_i rho_i rho^(-1/2) together with the success
     probability sum_i p_i tr(rho_i pi_i).  State vectors are accepted and
-    promoted to projectors.
+    promoted to projectors.  rho^(-1/2) and the support projector are formed
+    from the support's eigenvector columns only, each element from two
+    products, and each trace as an elementwise sum.
     """
     if len(states) != len(priors):
         raise ValueError("one prior per state required")
@@ -88,9 +92,8 @@ def srm(states: Sequence[np.ndarray], priors: Sequence[float]) -> tuple[Povm, fl
     average = sum(p * rho for p, rho in zip(priors, rhos))
 
     lam, v, on_support = fock.psd_spectrum(average)
-    inv_sqrt_lam = np.where(on_support, 1.0 / np.sqrt(np.where(on_support, lam, 1.0)), 0.0)
-    inv_sqrt = (v * inv_sqrt_lam) @ v.conj().T
-    projector = (v * on_support.astype(float)) @ v.conj().T
+    support = v[:, on_support]
+    inv_sqrt = (support / np.sqrt(lam[on_support])) @ support.conj().T
 
     elements = []
     success = 0.0
@@ -98,8 +101,9 @@ def srm(states: Sequence[np.ndarray], priors: Sequence[float]) -> tuple[Povm, fl
         pi = inv_sqrt @ (p * rho) @ inv_sqrt
         pi = 0.5 * (pi + pi.conj().T)
         elements.append(pi)
-        success += p * float(np.trace(rho @ pi).real)
-    return Povm(tuple(elements), 0.5 * (projector + projector.conj().T)), success
+        # tr(rho pi) = sum_jk rho_jk conj(pi_jk), since pi is exactly Hermitian
+        success += p * float(np.vdot(pi, rho).real)
+    return Povm(tuple(elements), _column_projector(support)), success
 
 
 def helstrom_two(rho0: np.ndarray, rho1: np.ndarray, p0: float) -> tuple[Povm, float]:
@@ -112,7 +116,8 @@ def helstrom_two(rho0: np.ndarray, rho1: np.ndarray, p0: float) -> tuple[Povm, f
     cannot change p_corr = p1 + tr(A Pi0) but makes the operators, and any
     golden files built from them, deterministic.  The support cutoff is the
     same absolute scale, so the two elements always sum to the support
-    projector of the average state.
+    projector of the average state.  Each element is formed from its own
+    eigenvector columns only, and the support projector is their sum.
     """
     rho0 = _as_density_matrix(rho0)
     rho1 = _as_density_matrix(rho1)
@@ -141,13 +146,10 @@ def helstrom_two(rho0: np.ndarray, rho1: np.ndarray, p0: float) -> tuple[Povm, f
             to_zero = to_zero | occupied
         else:
             to_one = to_one | occupied
-    pi0 = (v * to_zero.astype(float)) @ v.conj().T
-    pi1 = (v * to_one.astype(float)) @ v.conj().T
-    support = (v * (to_zero | to_one).astype(float)) @ v.conj().T
-    pi0 = 0.5 * (pi0 + pi0.conj().T)
-    pi1 = 0.5 * (pi1 + pi1.conj().T)
+    pi0 = _column_projector(v[:, to_zero])
+    pi1 = _column_projector(v[:, to_one])
     p_corr = p1 + float(lam[to_zero].sum())
-    return Povm((pi0, pi1), 0.5 * (support + support.conj().T)), p_corr
+    return Povm((pi0, pi1), pi0 + pi1), p_corr
 
 
 # ---------------------------------------------------------------------------
@@ -155,39 +157,39 @@ def helstrom_two(rho0: np.ndarray, rho1: np.ndarray, p0: float) -> tuple[Povm, f
 
 
 def span_orthonormal_basis(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Orthonormal basis (columns) of the span, by modified Gram-Schmidt.
+    """Orthonormal columns Q whose span holds the L states' span.
 
-    Two orthogonalisation passes keep the basis orthonormal to machine
-    precision; vectors whose residual falls below RANK_TOLERANCE relative to
-    their norm are dropped, so rank-deficient families reduce cleanly.
+    Q is the Q factor of one Householder QR (LAPACK through
+    `numpy.linalg.qr`) of the D x L array whose columns are the states, so
+    it is min(D, L) wide whatever their rank.  The states' coordinates
+    Q^H v_i are the columns of R of the same QR, which `span_coordinates`
+    returns without forming Q.
     """
-    columns: list[np.ndarray] = []
-    for vec in vectors:
-        w = np.asarray(vec, dtype=np.complex128).copy()
-        scale = np.linalg.norm(w)
-        if scale == 0.0:
-            continue
-        for _pass in range(2):
-            for b in columns:
-                w -= np.vdot(b, w) * b
-        residual = np.linalg.norm(w)
-        if residual > RANK_TOLERANCE * scale:
-            columns.append(w / residual)
-    if not columns:
-        raise ValueError("all vectors are numerically zero")
-    return np.column_stack(columns)
+    return np.linalg.qr(np.column_stack(vectors))[0]
+
+
+def span_coordinates(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Coordinates (columns) of the states in `span_orthonormal_basis`.
+
+    The R factor, min(D, L) x L, of the same Householder QR.  The map is an
+    isometry on the span, so every inner product, and with it every SRM
+    quantity, is the same in these coordinates.  When the rank is below
+    min(D, L), the spare directions hold no state: they carry no weight of
+    the average state and fall outside its support in `srm`.
+    """
+    return np.linalg.qr(np.column_stack(vectors), mode="r")
 
 
 def srm_success_pure(vectors: Sequence[np.ndarray]) -> float:
-    """SRM success for equiprobable pure states, computed inside their span.
+    """SRM success for equiprobable pure states, computed in span coordinates.
 
     The SRM operators live on the support of the average state, which for
-    pure inputs is exactly the span, so reducing to an orthonormal basis of
-    it is lossless and keeps the dense work at most L x L.
+    pure inputs is the span, so running `srm` on the `span_coordinates`
+    columns is lossless and keeps the dense work at most L x L.
     """
-    basis = span_orthonormal_basis(vectors)
-    reduced = [basis.conj().T @ np.asarray(v, dtype=np.complex128) for v in vectors]
-    _povm, success = srm(reduced, [1.0 / len(vectors)] * len(vectors))
+    coords = span_coordinates(vectors)
+    n_states = coords.shape[1]
+    _povm, success = srm(list(coords.T), [1.0 / n_states] * n_states)
     return success
 
 
@@ -225,9 +227,10 @@ def whole_matrix_srm(
 ) -> tuple[Povm, float]:
     """One global SRM over the direct sum of all photon-number blocks.
 
-    The mixed states are assembled as full matrices on an orthonormal basis
-    of the union of the per-block spans (an exact, lossless embedding), and a
-    single SRM is run on them: no per-block factorisation is assumed anywhere,
+    The mixed states are assembled as full matrices on the direct sum of the
+    blocks' `span_coordinates` (each block min(D_N, L) wide: an exact,
+    lossless embedding, whose spare directions the SRM's support drops), and
+    a single SRM is run on them: no per-block factorisation is assumed anywhere,
     so agreement with `block_srm` is the direct-sum theorem under test, not a
     restatement of it.  The average state is diagonalised as one dense
     matrix by `fock.hermitian_eig`, which never looks for its block
@@ -247,16 +250,12 @@ def whole_matrix_srm(
     if not blocks:
         raise ValueError("no photon-number blocks for the SRM")
     n_states = len(blocks[0])
-    coords: list[list[np.ndarray]] = [[] for _ in range(n_states)]
-    for block in blocks:
-        if len(block) != n_states:
-            raise ValueError("all blocks must hold the same number of states")
-        basis = span_orthonormal_basis(block)
-        for i, vec in enumerate(block):
-            coords[i].append(basis.conj().T @ np.asarray(vec, dtype=np.complex128))
+    if any(len(block) != n_states for block in blocks):
+        raise ValueError("all blocks must hold the same number of states")
+    coords = [span_coordinates(block) for block in blocks]
     rhos = []
-    for member in coords:
-        rho = phase_rand.direct_sum(member, weights)
+    for i in range(n_states):
+        rho = phase_rand.direct_sum([c[:, i] for c in coords], weights)
         rhos.append(rho / np.trace(rho).real)
     priors = [1.0 / n_states] * n_states
     return srm(rhos, priors)

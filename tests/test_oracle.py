@@ -130,6 +130,57 @@ class TestHelstromTwo:
             assert hel_success >= srm_success - 1e-9
 
 
+def beam_split_pair(alpha):
+    # the two states verify_appendix_b compares, at the default tail
+    amp = math.sqrt(2.0) * alpha
+    n_max = phase_rand.truncation_photon_number(amp**2, phase_rand.DEFAULT_TAIL_TOL)
+    rhos = []
+    for amplitudes in ((amp, 0.0), (0.0, amp)):
+        rho = phase_rand.phase_randomized_state(CoherentStateVector(amplitudes), n_max)
+        rhos.append(rho / np.trace(rho).real)
+    return rhos
+
+
+def full_product_success(rhos, priors, povm):
+    return sum(p * np.trace(rho @ pi).real for p, rho, pi in zip(priors, rhos, povm.elements))
+
+
+class TestSupportProducts:
+    # srm and helstrom_two form their operators from the support columns only
+    # and read traces as elementwise sums: tie them to the full products
+
+    def test_srm_on_a_partial_support(self):
+        rhos = beam_split_pair(0.8)
+        priors = [0.3, 0.7]
+        rank = int(fock.psd_spectrum(0.3 * rhos[0] + 0.7 * rhos[1])[2].sum())
+        assert (rank, len(rhos[0])) == (29, 136)
+        povm, success = oracle.srm(rhos, priors)
+        assert success == pytest.approx(full_product_success(rhos, priors, povm), abs=1e-13)
+        povm.validate()
+
+    def test_whole_matrix_srm(self, monkeypatch):
+        seen = []
+        real = oracle.srm
+        monkeypatch.setattr(oracle, "srm", lambda rhos, p: seen.append(rhos) or real(rhos, p))
+        weights, blocks = phase_rand.subspace_state_blocks(SymmetricFamilySpec("four_mode", 0.7))
+        povm, success = oracle.whole_matrix_srm(blocks, weights)
+        priors = [0.25] * 4
+        assert success == pytest.approx(
+            full_product_success(seen.pop(), priors, povm), abs=1e-13
+        )
+        povm.validate()
+
+    @pytest.mark.parametrize("p0", [0.5, 0.3])
+    def test_helstrom_elements_split_the_support(self, p0):
+        povm, _p_corr = oracle.helstrom_two(*beam_split_pair(0.8), p0)
+        pi0, pi1 = povm.elements
+        support = povm.support_projector
+        assert np.linalg.norm(pi0 @ pi1) < 1e-12
+        assert np.linalg.norm(pi0 + pi1 - support) < 1e-12
+        assert np.linalg.norm(support @ support - support) < 1e-12
+        povm.validate()
+
+
 class TestSpanReduction:
     def test_orthonormal_output(self):
         rng = np.random.default_rng(4)
@@ -138,10 +189,19 @@ class TestSpanReduction:
         assert np.linalg.norm(basis.conj().T @ basis - np.eye(4)) < 1e-12
 
     def test_rank_detection(self):
+        # the QR basis is min(D, L) wide whatever the rank: the rank shows in
+        # the coordinates R, and Q R gives the states back
         v1 = np.array([1.0, 0.0, 0.0], dtype=complex)
         v2 = np.array([0.0, 1.0, 0.0], dtype=complex)
-        basis = oracle.span_orthonormal_basis([v1, v2, v1 + v2, 2.0 * v1])
-        assert basis.shape == (3, 2)
+        vectors = [v1, v2, v1 + v2, 2.0 * v1]
+        basis = oracle.span_orthonormal_basis(vectors)
+        coords = oracle.span_coordinates(vectors)
+        assert basis.shape == (3, 3)
+        assert coords.shape == (3, 4)
+        assert np.linalg.matrix_rank(coords) == 2
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(3)) < 1e-12
+        assert np.linalg.norm(basis @ coords - np.column_stack(vectors)) < 1e-12
+        assert np.linalg.norm(coords - basis.conj().T @ np.column_stack(vectors)) < 1e-12
 
     def test_reduced_srm_equals_dense(self):
         # block_srm runs only span-reduced SRMs: this ties them to the dense one
@@ -152,6 +212,35 @@ class TestSpanReduction:
                 _p, dense = oracle.srm(states, [1.0 / len(states)] * len(states))
                 reduced = oracle.srm_success_pure(states)
                 assert reduced == pytest.approx(dense, abs=1e-11)
+
+    def test_lossless_below_full_rank(self):
+        # no family block has rank < min(D, L); here the QR coordinates keep
+        # spare directions that hold no state, and the SRM must drop them
+        rng = np.random.default_rng(11)
+
+        def unit(v):
+            return v / np.linalg.norm(v)
+
+        v1, v2, a, b, c = (rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(5))
+        blocks = [
+            [unit(v1), unit(v2), unit(v1 + v2), unit(2.0 * v1)],  # rank 2 of 4
+            [unit(a), unit(b), unit(a), unit(c)],  # a repeated state: rank 3 of 4
+        ]
+        weights = [0.6, 0.4]
+        quarter = [0.25] * 4
+        dense = []
+        for block in blocks:
+            assert np.linalg.matrix_rank(oracle.span_coordinates(block)) < 4
+            _p, success = oracle.srm(block, quarter)
+            dense.append(success)
+            assert oracle.srm_success_pure(block) == pytest.approx(success, abs=1e-12)
+        assert oracle.block_srm(blocks, weights) == pytest.approx(
+            weights[0] * dense[0] + weights[1] * dense[1], abs=1e-12
+        )
+        literal = [phase_rand.direct_sum([blk[i] for blk in blocks], weights) for i in range(4)]
+        _p, literal_value = oracle.srm(literal, quarter)
+        _povm, whole = oracle.whole_matrix_srm(blocks, weights)
+        assert whole == pytest.approx(literal_value, abs=1e-12)
 
 
 class TestBlockSrm:
@@ -228,12 +317,15 @@ class TestWholeMatrixSrm:
         for alpha in (0.3, 0.7, 1.2):
             weights, blocks = phase_rand.subspace_state_blocks(SymmetricFamilySpec(tag, alpha))
             oracle.whole_matrix_srm(blocks, weights)
-            bases = [oracle.span_orthonormal_basis(block) for block in blocks]
+            # coordinates: the R factor of one QR per block, min(D, L) x L
+            coords = [np.linalg.qr(np.column_stack(block), mode="r") for block in blocks]
+            for block, r in zip(blocks, coords):
+                assert r.shape == (min(len(block[0]), len(block)), len(block))
             for i, rho in enumerate(seen.pop()):
                 expected = np.zeros_like(rho)
                 offset = 0
-                for w, basis, block in zip(weights, bases, blocks):
-                    c = basis.conj().T @ block[i]
+                for w, r in zip(weights, coords):
+                    c = r[:, i]
                     end = offset + len(c)
                     expected[offset:end, offset:end] = w * np.outer(c, c.conj())
                     offset = end
