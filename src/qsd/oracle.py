@@ -1,4 +1,5 @@
-"""Brute-force measurement oracles on dense truncated-Fock matrices.
+"""Brute-force measurement oracles on dense matrices: truncated-Fock states,
+or the same states in the span coordinates of their photon-number blocks.
 
 The functions here never consult closed-form probabilities: they construct
 the actual measurement operators numerically and evaluate traces.  They share
@@ -52,11 +53,17 @@ class Povm:
 
 
 def _as_density_matrix(state: np.ndarray) -> np.ndarray:
-    """Accept a state vector or density matrix; return a density matrix."""
+    """Accept a state vector or density matrix of unit trace (within 1e-10);
+    return a density matrix."""
     state = np.asarray(state, dtype=np.complex128)
     if state.ndim == 1:
-        return np.outer(state, state.conj())
-    return fock.check_hermitian(state)
+        rho = np.outer(state, state.conj())
+    else:
+        rho = fock.check_hermitian(state)
+    trace = float(np.trace(rho).real)
+    if not abs(trace - 1.0) <= 1e-10:  # also rejects nan
+        raise ValueError(f"state trace {trace} is not 1")
+    return rho
 
 
 def _column_projector(columns: np.ndarray) -> np.ndarray:
@@ -86,9 +93,6 @@ def srm(states: Sequence[np.ndarray], priors: Sequence[float]) -> tuple[Povm, fl
     for rho in rhos:
         if rho.shape != (dim, dim):
             raise ValueError("states must share one dimension")
-        trace = float(np.trace(rho).real)
-        if abs(trace - 1.0) > 1e-10:
-            raise ValueError(f"state trace {trace} is not 1")
     average = sum(p * rho for p, rho in zip(priors, rhos))
 
     lam, v, on_support = fock.psd_spectrum(average)
@@ -109,15 +113,22 @@ def srm(states: Sequence[np.ndarray], priors: Sequence[float]) -> tuple[Povm, fl
 def helstrom_two(rho0: np.ndarray, rho1: np.ndarray, p0: float) -> tuple[Povm, float]:
     """Optimal two-state minimum-error measurement.
 
-    Diagonalises A = p0 rho0 - p1 rho1 and projects outcome 0 (1) onto its
-    positive (negative) eigenspace.  Eigenvectors with |eigenvalue| below
-    SIGN_THRESHOLD that lie inside the support of the average state are
+    Takes unit-trace states, as `srm` does.  Diagonalises
+    A = p0 rho0 - p1 rho1 and projects outcome 0 (1) onto its positive
+    (negative) eigenspace.  Eigenvectors with |eigenvalue| below
+    SIGN_THRESHOLD whose average-state weight exceeds SIGN_THRESHOLD are
     assigned to the larger-prior outcome (outcome 0 on a tie): the choice
     cannot change p_corr = p1 + tr(A Pi0) but makes the operators, and any
-    golden files built from them, deterministic.  The support cutoff is the
-    same absolute scale, so the two elements always sum to the support
-    projector of the average state.  Each element is formed from its own
-    eigenvector columns only, and the support projector is their sum.
+    golden files built from them, deterministic.  Each element is formed
+    from its own eigenvector columns only, and the returned support
+    projector is their sum.
+
+    That support keeps every direction above the absolute SIGN_THRESHOLD,
+    so it is not the support `srm` uses, which `fock.psd_spectrum` cuts at
+    1e-10 lambda_max: on the beam-split pair at |alpha| = 0.8 the Helstrom
+    support has rank 31 and the SRM support rank 29, the latter inside the
+    former.  Compare the two POVMs inside the SRM support only, as
+    `verify_appendix_b` does.
     """
     rho0 = _as_density_matrix(rho0)
     rho1 = _as_density_matrix(rho1)
@@ -222,15 +233,61 @@ def block_srm(
     return block_average([srm_success_pure(block) for block in blocks], weights)
 
 
+def block_span_states(
+    blocks: Sequence[Sequence[np.ndarray]], weights: Sequence[float]
+) -> list[np.ndarray]:
+    """The L mixed states sum_N p_N |v_N,i><v_N,i|, in span coordinates.
+
+    `blocks[N]` holds the L pure states of the N-photon subspace and
+    `weights[N]` is p_N.  Each block enters as its `span_coordinates`
+    (min(D_N, L) wide), and state i is the `phase_rand.direct_sum` of its
+    coordinate columns, normalized to unit trace.  The embedding is an
+    isometry on the direct sum of the blocks' spans, which holds every
+    state, so every trace and every measurement built on the states is the
+    same as on the dense truncated-Fock matrices normalized likewise; spare
+    directions of a rank-deficient block hold no state.
+    """
+    if len(blocks) != len(weights):
+        raise ValueError("one weight per block required")
+    if not blocks:
+        raise ValueError("no photon-number blocks for the states")
+    n_states = len(blocks[0])
+    if any(len(block) != n_states for block in blocks):
+        raise ValueError("all blocks must hold the same number of states")
+    coords = [span_coordinates(block) for block in blocks]
+    rhos = []
+    for i in range(n_states):
+        rho = phase_rand.direct_sum([c[:, i] for c in coords], weights)
+        rhos.append(rho / np.trace(rho).real)
+    return rhos
+
+
+def phase_randomized_span_states(
+    states: Sequence[CoherentStateVector], tail_tol: float
+) -> list[np.ndarray]:
+    """`block_span_states` of phase-randomized coherent states.
+
+    The states must share one mean photon number.  Block N holds their
+    N-photon components from the generic amplitude path
+    (`phase_rand.subspace_component`), for N up to the truncation at
+    `tail_tol`, and is weighted by its Poisson weight: nothing is read from
+    `symmetric` or `discrimination`.
+    """
+    mean = states[0].mean_photons
+    n_max = phase_rand.truncation_photon_number(mean, tail_tol)
+    blocks = [[phase_rand.subspace_component(s, n) for s in states] for n in range(n_max + 1)]
+    return block_span_states(blocks, phase_rand.poisson_weights(mean, n_max))
+
+
 def whole_matrix_srm(
     blocks: Sequence[Sequence[np.ndarray]], weights: Sequence[float]
 ) -> tuple[Povm, float]:
     """One global SRM over the direct sum of all photon-number blocks.
 
     The mixed states are assembled as full matrices on the direct sum of the
-    blocks' `span_coordinates` (each block min(D_N, L) wide: an exact,
-    lossless embedding, whose spare directions the SRM's support drops), and
-    a single SRM is run on them: no per-block factorisation is assumed anywhere,
+    blocks' span coordinates (`block_span_states`: an exact, lossless
+    embedding, whose spare directions the SRM's support drops), and a single
+    SRM is run on them: no per-block factorisation is assumed anywhere,
     so agreement with `block_srm` is the direct-sum theorem under test, not a
     restatement of it.  The average state is diagonalised as one dense
     matrix by `fock.hermitian_eig`, which never looks for its block
@@ -245,20 +302,8 @@ def whole_matrix_srm(
     mass).  The success probability weights those directions by their
     actual mass and is therefore accurate to the tail tolerance regardless.
     """
-    if len(blocks) != len(weights):
-        raise ValueError("one weight per block required")
-    if not blocks:
-        raise ValueError("no photon-number blocks for the SRM")
-    n_states = len(blocks[0])
-    if any(len(block) != n_states for block in blocks):
-        raise ValueError("all blocks must hold the same number of states")
-    coords = [span_coordinates(block) for block in blocks]
-    rhos = []
-    for i in range(n_states):
-        rho = phase_rand.direct_sum([c[:, i] for c in coords], weights)
-        rhos.append(rho / np.trace(rho).real)
-    priors = [1.0 / n_states] * n_states
-    return srm(rhos, priors)
+    rhos = block_span_states(blocks, weights)
+    return srm(rhos, [1.0 / len(rhos)] * len(rhos))
 
 
 # ---------------------------------------------------------------------------
@@ -336,26 +381,27 @@ def verify_appendix_b(
 ) -> AppendixBReport:
     """Build both POVMs for the beam-split two-mode mixed states and compare.
 
-    The states are produced by the generic phase-randomization path from the
-    amplitude vectors (sqrt(2) alpha, 0) and (0, sqrt(2) alpha), truncated
-    at `tail_tol` and renormalized to unit trace, as in `whole_matrix_srm`.
+    The states are the `phase_randomized_span_states` of the amplitude
+    vectors (sqrt(2) alpha, 0) and (0, sqrt(2) alpha), truncated at
+    `tail_tol` and renormalized to unit trace, as in `whole_matrix_srm`.
+    Both measurements and the comparison run in those span coordinates, of
+    dimension 2 n_max + 1
+    (31 at |alpha| = 0.8, where the truncated Fock space has 136).  The map
+    to the Fock space is an isometry that holds both POVMs, so the Frobenius
+    distances are the ones of the dense matrices.  The N = 0 block is one
+    coordinate, the vacuum, first in the direct-sum order.
     Reported: both success probabilities, the Frobenius distance between the
     POVMs away from the vacuum projector (restricted to the SRM support), and
     the SRM's vacuum weights.
     """
     amp = math.sqrt(2.0) * alpha_abs
-    state0 = CoherentStateVector((amp, 0.0))
-    state1 = CoherentStateVector((0.0, amp))
-    n_max = phase_rand.truncation_photon_number(state0.mean_photons, tail_tol)
-    rho0 = phase_rand.phase_randomized_state(state0, n_max)
-    rho1 = phase_rand.phase_randomized_state(state1, n_max)
-    rho0 /= np.trace(rho0).real
-    rho1 /= np.trace(rho1).real
+    rho0, rho1 = phase_randomized_span_states(
+        [CoherentStateVector((amp, 0.0)), CoherentStateVector((0.0, amp))], tail_tol
+    )
 
     srm_povm, srm_success = srm([rho0, rho1], [p0, 1.0 - p0])
     hel_povm, hel_success = helstrom_two(rho0, rho1, p0)
 
-    # vacuum = the single N=0 basis ket, first in the direct-sum order
     vac = 0
     support = srm_povm.support_projector
     distances = []

@@ -83,6 +83,26 @@ class TestSrm:
             oracle.srm([2.0 * projector(v)], [1.0])
 
 
+E0, E1 = np.eye(2, dtype=complex)
+UNNORMALIZED_PAIRS = {
+    # helstrom_two read these as p_corr 1.5 and 5.0
+    "trace_2_matrix": (2.0 * projector(E0), 2.0 * projector(E1)),
+    "norm_3_vector": (3.0 * E0, E1),
+}
+MEASUREMENTS = {
+    "srm": lambda rho0, rho1: oracle.srm([rho0, rho1], [0.5, 0.5]),
+    "helstrom_two": lambda rho0, rho1: oracle.helstrom_two(rho0, rho1, 0.5),
+}
+
+
+@pytest.mark.parametrize("pair", UNNORMALIZED_PAIRS.values(), ids=UNNORMALIZED_PAIRS)
+@pytest.mark.parametrize("measure", MEASUREMENTS.values(), ids=MEASUREMENTS)
+def test_state_of_other_trace_is_refused_in_one_line(measure, pair):
+    with pytest.raises(ValueError, match="trace") as info:
+        measure(*pair)
+    assert "\n" not in str(info.value)
+
+
 class TestHelstromTwo:
     def test_identical_states_guess_the_likelier(self):
         rho = np.diag([0.4, 0.6]).astype(complex)
@@ -130,10 +150,10 @@ class TestHelstromTwo:
             assert hel_success >= srm_success - 1e-9
 
 
-def beam_split_pair(alpha):
-    # the two states verify_appendix_b compares, at the default tail
+def beam_split_pair(alpha, tail_tol=phase_rand.DEFAULT_TAIL_TOL):
+    # the two states verify_appendix_b compares, as dense truncated-Fock matrices
     amp = math.sqrt(2.0) * alpha
-    n_max = phase_rand.truncation_photon_number(amp**2, phase_rand.DEFAULT_TAIL_TOL)
+    n_max = phase_rand.truncation_photon_number(amp**2, tail_tol)
     rhos = []
     for amplitudes in ((amp, 0.0), (0.0, amp)):
         rho = phase_rand.phase_randomized_state(CoherentStateVector(amplitudes), n_max)
@@ -379,7 +399,75 @@ class TestPhaseAverage:
             oracle.phase_average(CoherentStateVector((60.0,)), 2)
 
 
+def dense_appendix_b(alpha, p0, tail_tol=phase_rand.DEFAULT_TAIL_TOL):
+    # verify_appendix_b on the dense truncated-Fock matrices, whose vacuum is
+    # the Fock basis ket 0: the reference for the span-coordinate version
+    rho0, rho1 = beam_split_pair(alpha, tail_tol)
+    srm_povm, srm_success = oracle.srm([rho0, rho1], [p0, 1.0 - p0])
+    hel_povm, hel_success = oracle.helstrom_two(rho0, rho1, p0)
+    support = srm_povm.support_projector
+    distances = []
+    for pi_srm, pi_hel in zip(srm_povm.elements, hel_povm.elements):
+        diff = support @ (pi_srm - pi_hel) @ support
+        diff[0, :] = 0.0
+        diff[:, 0] = 0.0
+        distances.append(float(np.linalg.norm(diff)))
+    split = tuple(float(pi[0, 0].real) for pi in srm_povm.elements)
+    return oracle.AppendixBReport(hel_success, srm_success, max(distances), split)
+
+
+def spy_on(monkeypatch, name):
+    # every argument tuple oracle.<name> receives, in call order
+    calls = []
+    real = getattr(oracle, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, name, spy)
+    return calls
+
+
 class TestVerifyAppendixB:
+    @pytest.mark.parametrize(
+        "alpha,p0,tail_tol",
+        [(a, p, t) for a in (0.2, 0.8) for p in (0.5, 0.3) for t in (1e-12, 1e-6)]
+        + [(0.0, p, 1e-12) for p in (0.5, 0.3)],
+    )
+    def test_span_coordinates_match_the_dense_matrices(self, alpha, p0, tail_tol):
+        reduced = oracle.verify_appendix_b(alpha, p0, tail_tol)
+        dense = dense_appendix_b(alpha, p0, tail_tol)
+        assert reduced.srm_success == pytest.approx(dense.srm_success, abs=1e-12)
+        assert reduced.helstrom_success == pytest.approx(dense.helstrom_success, abs=1e-12)
+        assert reduced.vacuum_split == pytest.approx(dense.vacuum_split, abs=1e-12)
+        assert reduced.off_vacuum_distance < 1e-9
+        assert dense.off_vacuum_distance < 1e-9
+
+    def test_measurements_run_at_the_span_dimension(self, monkeypatch):
+        # 2 n_max + 1 = 31 coordinates at |alpha| = 0.8, where D = 136
+        srm_calls = spy_on(monkeypatch, "srm")
+        helstrom_calls = spy_on(monkeypatch, "helstrom_two")
+        oracle.verify_appendix_b(0.8, 0.3)
+        assert len(beam_split_pair(0.8)[0]) == 136
+        (states, _priors), = srm_calls
+        (rho0, rho1, _p0), = helstrom_calls
+        assert [rho.shape for rho in (*states, rho0, rho1)] == [(31, 31)] * 4
+
+    @pytest.mark.parametrize("p0", [0.5, 0.3])
+    def test_srm_support_lies_inside_the_helstrom_support(self, monkeypatch, p0):
+        # Helstrom keeps directions above an absolute 1e-12, the SRM cuts at
+        # 1e-10 lambda_max: ranks 29 and 31, dense and in span coordinates
+        srm = oracle.srm
+        srm_calls = spy_on(monkeypatch, "srm")
+        oracle.verify_appendix_b(0.8, p0)
+        (reduced, _priors), = srm_calls
+        for rhos in (beam_split_pair(0.8), reduced):
+            p_srm = srm(rhos, [p0, 1.0 - p0])[0].support_projector
+            p_hel = oracle.helstrom_two(*rhos, p0)[0].support_projector
+            assert (np.trace(p_srm).real, np.trace(p_hel).real) == pytest.approx((29, 31))
+            assert np.linalg.norm(p_srm @ p_hel - p_srm) < 1e-12
+
     def test_equal_priors_srm_is_optimal(self):
         report = oracle.verify_appendix_b(0.5, 0.5)
         assert abs(report.success_gap) < 1e-9
